@@ -408,6 +408,14 @@ _EVENT_RENDERERS = {
     "cell-evicted": lambda r: (
         "[sweep] evicted %s from its pack to the scalar lane (%s)"
         % (r["cell"], r["reason"])),
+    "solo-start": None,
+    "solo-done": None,
+    "solo-retry": lambda r: (
+        "[sweep] retrying %s (attempt %d in %.1fs): %s"
+        % (r["solo"], r["attempt"], r["delay_s"], r["error"])),
+    "solo-quarantined": lambda r: (
+        "[sweep] quarantined %s after %d attempts: %s"
+        % (r["solo"], r["attempts"], r["error"])),
 }
 
 #: Renderers for the service-tier events (``SERVICE_EVENTS`` in
@@ -646,23 +654,29 @@ def cmd_profile(args):
 
 
 def cmd_cache(args):
-    from repro.experiments.parallel import ResultCache
+    from repro.experiments.parallel import ResultCache, SoloCache
 
     cache = ResultCache(args.cache_dir)
+    solos = SoloCache(args.cache_dir)
     if args.cache_command == "info":
         stats = cache.info()
+        solo_stats = solos.info()
         print(format_table(
             ["field", "value"],
             [["directory", stats.directory],
              ["entries", stats.entries],
              ["size", "%.1f KiB" % (stats.bytes / 1024.0)],
              ["corrupt entries", stats.corrupt],
-             ["corrupt size", "%.1f KiB" % (stats.corrupt_bytes / 1024.0)]]))
+             ["corrupt size", "%.1f KiB" % (stats.corrupt_bytes / 1024.0)],
+             ["solo entries", solo_stats.entries],
+             ["solo size", "%.1f KiB" % (solo_stats.bytes / 1024.0)],
+             ["solo corrupt", solo_stats.corrupt]]))
     else:  # clear
         removed = cache.clear(corrupt_only=args.corrupt_only)
+        removed_solos = solos.clear(corrupt_only=args.corrupt_only)
         what = "corrupt sidelined" if args.corrupt_only else "cached"
-        print("removed %d %s result(s) from %s"
-              % (removed, what, cache.directory))
+        print("removed %d %s result(s) and %d solo(s) from %s"
+              % (removed, what, removed_solos, cache.directory))
 
 
 def cmd_serve(args):

@@ -17,7 +17,10 @@ a content-addressed on-disk cache, so that
   its last good epoch;
 * merged results are deterministic — cell order follows the *request*
   order, never completion order, so ``jobs=4`` produces byte-identical
-  JSON to ``jobs=1`` (:func:`merged_json`).
+  JSON to ``jobs=1`` (:func:`merged_json`);
+* every distinct SingleIPC solo a sweep needs is simulated once, as its
+  own task, and cached by content (:class:`SoloCache`), instead of once
+  per worker that happens to need it.
 
 Progress is surfaced as a lightweight JSONL event stream (one object per
 line: sweep/cell lifecycle, done/cached/running counts, ETA, worker
@@ -51,7 +54,12 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 from repro.experiments.export import _jsonable
-from repro.experiments.runner import RunResult, run_policy
+from repro.experiments.runner import (
+    RunResult,
+    attach_solos,
+    simulate_policy,
+    solo_ipc,
+)
 from repro.policies import BASELINE_POLICIES  # repro: allow-reexport[FP005] (registry lookup; per-family sources hash the defining modules)
 from repro.reliability.packsup import (
     PackSupervisor,
@@ -365,6 +373,58 @@ def cache_key(cell, scale):
     return hashlib.sha256(blob).hexdigest()
 
 
+# -- SingleIPC solos ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SoloTask:
+    """One SingleIPC solo: a benchmark run alone on the scaled machine.
+
+    The weighted metrics (Eq. 2-3) divide every thread's IPC by its
+    benchmark's stand-alone IPC, so each pending cell needs one solo per
+    thread.  The engine plans every distinct solo of a sweep once, runs
+    the missing ones as their own tasks and attaches the values to the
+    cells in the parent (see :class:`SweepEngine`).
+    """
+
+    profile: object      # BenchmarkProfile
+    seed: int = 0
+
+    @property
+    def label(self):
+        return "solo:%s/s%d" % (self.profile.name, self.seed)
+
+
+def cell_solos(cell):
+    """The solos a cell's result needs, in thread order."""
+    return [SoloTask(profile=profile, seed=cell.seed)
+            for profile in get_workload(cell.workload).profiles]
+
+
+def solo_key(task, scale):
+    """Content address of one solo's SingleIPC.
+
+    Hashes the benchmark profile's parameters, the machine config, the
+    seed, the epoch size, the *scale's* epoch count (a cell's ``epochs``
+    override never reaches its solos), warmup, and the ICOUNT family's
+    code fingerprint — solos run under ICOUNT on the substrate, so
+    editing a policy never invalidates them.
+    """
+    payload = {
+        "config": _jsonable(scale.config),
+        "profile": _jsonable(task.profile),
+        "seed": task.seed,
+        "schedule": {
+            "epoch_size": scale.epoch_size,
+            "epochs": scale.epochs,
+            "warmup": scale.warmup,
+        },
+        "code": code_fingerprint("ICOUNT"),
+    }
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
 # ----------------------------------------------------------------------
 # On-disk result cache
 # ----------------------------------------------------------------------
@@ -398,12 +458,20 @@ class ResultCache:
     also counts as a miss and is moved aside to ``<key>.corrupt`` with a
     one-line warning, so it can never shadow the re-simulated result nor
     poison later invocations.  ``repro cache info`` counts the sidelined
-    entries.
+    entries.  :class:`SoloCache` stores SingleIPC solos the same way
+    under ``<dir>/solos/``.
     """
+
+    #: Subdirectory of the cache directory holding this store's entries.
+    namespace = "objects"
+    #: Document field describing the cached item.
+    item_field = "cell"
+    #: Qualifier in the corrupt-entry warning.
+    warning_prefix = ""
 
     def __init__(self, directory=None):
         self.directory = directory or default_cache_dir()
-        self.objects_dir = os.path.join(self.directory, "objects")
+        self.objects_dir = os.path.join(self.directory, self.namespace)
 
     def _path(self, key):
         return os.path.join(self.objects_dir, key[:2], key + ".json")
@@ -413,6 +481,14 @@ class ResultCache:
         """sha256 of the canonical (sorted-key) result payload bytes."""
         blob = json.dumps(result_dict, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+    @staticmethod
+    def _encode(result):
+        return result.to_dict()
+
+    @staticmethod
+    def _decode(payload):
+        return RunResult.from_dict(payload)
 
     def get(self, key):
         path = self._path(key)
@@ -428,7 +504,7 @@ class ResultCache:
                 raise ValueError(
                     "stored digest %s… does not match payload digest %s…"
                     % (str(document["sha256"])[:12], digest[:12]))
-            return RunResult.from_dict(document["result"])
+            return self._decode(document["result"])
         except FileNotFoundError:
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -436,12 +512,13 @@ class ResultCache:
                 os.replace(path, path[:-len(".json")] + ".corrupt")
             except OSError:
                 pass
-            print("warning: corrupt cache entry %s… treated as a miss, "
+            print("warning: corrupt %scache entry %s… treated as a miss, "
                   "moved to .corrupt (%s: %s)"
-                  % (key[:12], type(exc).__name__, exc), file=sys.stderr)
+                  % (self.warning_prefix, key[:12], type(exc).__name__,
+                     exc), file=sys.stderr)
             return None
 
-    def put(self, key, cell, result):
+    def put(self, key, item, result):
         """Atomically store one result; safe under concurrent engines.
 
         Two writers racing on the same key both succeed: the keys are
@@ -453,9 +530,9 @@ class ResultCache:
         ``FileNotFoundError`` at a victim of someone else's cleanup.
         """
         path = self._path(key)
-        result_dict = result.to_dict()
+        result_dict = self._encode(result)
         payload = json.dumps(
-            {"cell": _jsonable(cell), "key": key,
+            {self.item_field: _jsonable(item), "key": key,
              "sha256": self._result_digest(result_dict),
              "result": result_dict},
             sort_keys=True)
@@ -519,6 +596,32 @@ class ResultCache:
         return removed
 
 
+class SoloCache(ResultCache):
+    """Content-addressed store of SingleIPC solos, one entry per
+    :func:`solo_key`: ``<dir>/solos/<key[:2]>/<key>.json`` holding the
+    solo's description, its key, the payload digest and the payload
+    ``{"single_ipc": value}``.  Reads fail closed exactly like cell
+    entries: a wrong key, a digest mismatch or a non-finite value moves
+    the entry to ``<key>.corrupt`` and counts as a miss, so the solo is
+    re-simulated."""
+
+    namespace = "solos"
+    item_field = "solo"
+    warning_prefix = "solo "
+
+    @staticmethod
+    def _encode(value):
+        return {"single_ipc": value}
+
+    @staticmethod
+    def _decode(payload):
+        value = payload["single_ipc"]
+        if not isinstance(value, float) or not math.isfinite(value):
+            raise ValueError("single_ipc %r is not a finite float"
+                             % (value,))
+        return value
+
+
 # ----------------------------------------------------------------------
 # Workers (top-level: must be picklable by the process pool)
 # ----------------------------------------------------------------------
@@ -535,11 +638,21 @@ def _touch_heartbeat(path):
         pass
 
 
+def _cell_scale(scale, seed):
+    """``scale`` at one cell's or solo's seed."""
+    return scale if scale.seed == seed else scale.with_overrides(seed=seed)
+
+
 def _execute_cell(cell, scale, resume_dir, heartbeat_path=None, attempt=1,
                   fault_plan=None):
     """Simulate one cell (runs inside a worker process).
 
-    With ``resume_dir`` the run goes through the PR 1 resilient runner:
+    Only the simulation half runs here: the returned result carries no
+    SingleIPCs.  The engine attaches the solos it planned and shared
+    across cells in the parent; other callers (the service worker) use
+    :func:`_attach_cell_solos`.
+
+    With ``resume_dir`` the run goes through the resilient runner:
     per-epoch crash-safe checkpoints in a per-cell subdirectory, so a
     killed sweep continues mid-cell.  The attached ``reliability`` report
     is dropped before caching — it describes the *execution* (retries,
@@ -567,8 +680,7 @@ def _execute_cell(cell, scale, resume_dir, heartbeat_path=None, attempt=1,
         raise CellBootstrapError(
             "cannot construct cell %s: %s: %s"
             % (cell.label, type(exc).__name__, exc)) from exc
-    seeded = (scale if scale.seed == cell.seed
-              else scale.with_overrides(seed=cell.seed))
+    seeded = _cell_scale(scale, cell.seed)
     hooks = []
     if heartbeat_path is not None:
         _touch_heartbeat(heartbeat_path)
@@ -579,47 +691,102 @@ def _execute_cell(cell, scale, resume_dir, heartbeat_path=None, attempt=1,
     on_epoch = (None if not hooks
                 else lambda epoch_id: [hook(epoch_id) for hook in hooks])
     if resume_dir is not None or on_epoch is not None:
-        from repro.reliability.guard import run_policy_resilient, run_slug
+        from repro.reliability.guard import run_slug, simulate_policy_resilient
 
         run_dir = None
         if resume_dir is not None:
             run_dir = os.path.join(
                 resume_dir, run_slug(cell.workload, cell.policy, cell.seed))
-        result = run_policy_resilient(
+        result = simulate_policy_resilient(
             workload, policy, seeded, epochs=cell.epochs, run_dir=run_dir,
             resume=True, sanitize_partitions=False, on_epoch=on_epoch)
         resumed = bool(result.reliability
                        and result.reliability.get("resumed_from") is not None)
         result.reliability = None
     else:
-        result = run_policy(workload, policy, seeded, epochs=cell.epochs)
+        result = simulate_policy(workload, policy, seeded, epochs=cell.epochs)
         resumed = False
     if fault_plan is not None:
         result = fault_plan.transform_result(cell, attempt, result)
     return result, resumed
 
 
-def _validate_cell_value(cell, value):
-    """Reject malformed worker payloads *before* they reach the cache.
+def _attach_cell_solos(cell, scale, result):
+    """Attach a cell's SingleIPCs in process (through the runner's solo
+    LRU) — for callers that run :func:`_execute_cell` outside the
+    engine's solo plan."""
+    return attach_solos(result, get_workload(cell.workload),
+                        _cell_scale(scale, cell.seed))
 
-    A supervised worker must return ``(RunResult, resumed)`` with finite
-    metrics; anything else (a chaos-corrupted payload, a future pickling
-    bug) raises :class:`CellResultError` so the supervisor retries the
-    cell instead of caching garbage.
-    """
+
+def _execute_solo(task, scale, attempt=1, fault_plan=None):
+    """Measure one SingleIPC solo (runs inside a worker process)."""
+    if fault_plan is not None:
+        fault_plan.before_solo(task, attempt)
+    return solo_ipc(task.profile, _cell_scale(scale, task.seed))
+
+
+def _execute_task(task, scale, resume_dir, heartbeat_path, attempt,
+                  fault_plan):
+    """Supervised worker: one planned task, a cell or a solo."""
+    if isinstance(task, SoloTask):
+        return _execute_solo(task, scale, attempt, fault_plan)
+    return _execute_cell(task, scale, resume_dir, heartbeat_path, attempt,
+                         fault_plan)
+
+
+def _finite(values):
+    return all(isinstance(v, (int, float)) and math.isfinite(v)
+               for v in values)
+
+
+def _validate_simulated(cell, value):
+    """Reject malformed worker payloads *before* they are accepted.
+
+    A cell worker must return ``(RunResult, resumed)`` with finite IPCs;
+    anything else (a chaos-corrupted payload, a future pickling bug)
+    raises :class:`CellResultError` so the supervisor retries the cell
+    instead of caching garbage.  SingleIPCs are not checked here: the
+    engine attaches them later (:func:`_validate_cell_value`)."""
     ok = (isinstance(value, tuple) and len(value) == 2
           and isinstance(value[0], RunResult)
           and isinstance(value[1], bool))
     if ok:
         result = value[0]
-        values = list(result.ipcs) + [result.avg_ipc, result.weighted_ipc,
-                                      result.harmonic_weighted_ipc]
-        ok = all(isinstance(v, (int, float)) and math.isfinite(v)
-                 for v in values)
+        ok = _finite(list(result.ipcs) + [result.avg_ipc])
     if not ok:
         raise CellResultError(
             "cell %s returned an invalid payload (%r...)"
             % (cell.label, repr(value)[:80]))
+
+
+def _validate_cell_value(cell, value):
+    """Full payload check of a finished cell, SingleIPCs attached: the
+    contract every result meets before it reaches a cache."""
+    _validate_simulated(cell, value)
+    result = value[0]
+    singles = result.single_ipcs
+    ok = (isinstance(singles, list) and len(singles) == len(result.ipcs)
+          and _finite(singles))
+    if ok:
+        ok = _finite([result.weighted_ipc, result.harmonic_weighted_ipc])
+    if not ok:
+        raise CellResultError(
+            "cell %s returned an invalid payload (%r...)"
+            % (cell.label, repr(value)[:80]))
+
+
+def _validate_solo_value(task, value):
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise CellResultError("solo %s returned an invalid payload (%r)"
+                              % (task.label, repr(value)[:80]))
+
+
+def _validate_task_value(task, value):
+    if isinstance(task, SoloTask):
+        _validate_solo_value(task, value)
+    else:
+        _validate_simulated(task, value)
 
 
 def _execute_pack_supervised(cells, scale, resume_dir, pack_heartbeat,
@@ -672,8 +839,101 @@ def pool_map(fn, tasks, jobs=None):
 # ----------------------------------------------------------------------
 
 
+class _SoloJoin:
+    """One run's solo plan and the parent-side join of cells to solos.
+
+    ``missing`` lists every distinct solo the pending cells need that
+    neither the engine's memory nor its solo cache holds, in first-need
+    order.  Cell results land without SingleIPCs; a cell finishes —
+    solos attached, validated, cached, ``cell-done`` — once all of its
+    solos have landed, and waits parked until then.  Progress fields
+    (``done``/``total``/``eta_s``) count cells only.
+    """
+
+    def __init__(self, engine, cells, counters, cached, total, started_at):
+        self.engine = engine
+        self.cells = list(cells)
+        self.counters = counters
+        self.cached = cached
+        self.total = total
+        self.started_at = started_at
+        self.needs = {cell: cell_solos(cell) for cell in self.cells}
+        self.missing = []
+        for tasks in self.needs.values():
+            for task in tasks:
+                if task not in self.missing and not engine._have_solo(task):
+                    self.missing.append(task)
+        self.parked = {}
+
+    def schedule(self, jobs):
+        """Dispatch order: the first ``jobs`` cells, the missing solos,
+        the remaining cells — the first cells start as early as they
+        would with no solos to run, and every solo lands in the first
+        wave."""
+        return self.cells[:jobs] + self.missing + self.cells[jobs:]
+
+    def _progress(self, running):
+        return self.engine._progress(
+            self.counters["done"], self.cached, running, self.total,
+            self.started_at, self.counters["live"])
+
+    def start(self, task, running, **fields):
+        if isinstance(task, SoloTask):
+            self.engine._emit("solo-start", solo=task.label, **fields)
+        else:
+            fields.update(self._progress(running))
+            self.engine._emit("cell-start", cell=task.label, **fields)
+
+    def land(self, task, value, running):
+        engine = self.engine
+        if isinstance(task, SoloTask):
+            engine._store_solo(task, value)
+            engine._emit("solo-done", solo=task.label, single_ipc=value)
+            for cell in [cell for cell in self.parked if self._ready(cell)]:
+                self._finish(cell, self.parked.pop(cell), running)
+        elif task not in engine.quarantined:
+            if self._ready(task):
+                self._finish(task, value, running)
+            else:
+                self.parked[task] = value
+
+    def _ready(self, cell):
+        return all(task in self.engine._solos for task in self.needs[cell])
+
+    def _finish(self, cell, value, running):
+        engine = self.engine
+        result, resumed = value
+        result.single_ipcs = [engine._solos[task]
+                              for task in self.needs[cell]]
+        _validate_cell_value(cell, value)
+        engine._store(cell, result, resumed)
+        self.counters["done"] += 1
+        self.counters["live"] += 1
+        engine._emit("cell-done", cell=cell.label, resumed=resumed,
+                     **self._progress(running))
+
+    def solo_failed(self, task, entry):
+        """A solo was quarantined: so is every unfinished cell that
+        needs it (supervised runs only — elsewhere failures raise)."""
+        for cell in self.cells:
+            if (task in self.needs[cell] and cell not in self.engine._memory
+                    and cell not in self.engine.quarantined):
+                self.parked.pop(cell, None)
+                self.engine._quarantine_dependent(cell, task, entry)
+
+
 class SweepEngine:
     """Runs sweep grids over a process pool with read-through caching.
+
+    SingleIPC solos are planned per run: every distinct solo the pending
+    cells need (:func:`cell_solos`) is read from memory or the
+    :class:`SoloCache`, and each missing one runs once, as its own task
+    (:func:`_execute_solo`).  Cell workers only simulate; the parent
+    attaches a cell's solos once they have all landed, then validates,
+    caches and reports the cell.  Tasks dispatch in the order: the first
+    ``jobs`` pending cells, the missing solos, the remaining cells.  The
+    batched lane (``batch_cells > 1``) keeps sharing solos inside each
+    pack instead.
 
     Parameters
     ----------
@@ -741,6 +1001,7 @@ class SweepEngine:
         self.scale = scale
         self.jobs = jobs
         self.cache = ResultCache(cache_dir) if use_cache else None
+        self.solo_cache = SoloCache(cache_dir) if use_cache else None
         self.events_path = events_path
         if events_path is not None:
             parent = os.path.dirname(events_path)
@@ -755,11 +1016,14 @@ class SweepEngine:
         if batch_cells > 1 and not self.audit_mirrors:
             self.audit_mirrors = audit_mode() == "mirror"
         self.stats = {"hits": 0, "misses": 0, "resumed": 0}
+        self.solo_stats = {"hits": 0, "misses": 0}
         self.quarantined = {}
+        self.quarantined_solos = {}
         self.supervisor_stats = {"retries": 0, "timeouts": 0,
                                  "pool_breaks": 0, "degraded": False,
                                  "bisections": 0, "evicted": 0}
         self._memory = {}
+        self._solos = {}
         self._work_dir = None
         if supervision is not None:
             # Heartbeats and the quarantine ledger live next to the
@@ -838,15 +1102,11 @@ class SweepEngine:
             if self.supervision is not None and self.batch_cells > 1:
                 self._run_batched_supervised(pending, cached, len(unique),
                                              started_at)
-            elif self.supervision is not None:
-                self._run_supervised(pending, cached, len(unique),
-                                     started_at)
             elif self.batch_cells > 1:
                 self._run_batched(pending, cached, len(unique), started_at)
-            elif self.jobs == 1:
-                self._run_serial(pending, cached, len(unique), started_at)
             else:
-                self._run_pool(pending, cached, len(unique), started_at)
+                self._run_planned(pending, {"done": cached, "live": 0},
+                                  cached, len(unique), started_at)
         self._emit("sweep-done", total=len(unique), cached=cached,
                    simulated=len(pending),
                    quarantined=len([cell for cell in pending
@@ -865,19 +1125,59 @@ class SweepEngine:
             self.cache.put(cache_key(cell, self.scale), cell, result)
         self._memory[cell] = result
 
-    def _run_serial(self, pending, cached, total, started_at):
-        done = cached
-        for index, cell in enumerate(pending):
-            self._emit("cell-start", cell=cell.label,
-                       **self._progress(done, cached, 1, total, started_at,
-                                        index))
-            result, resumed = _execute_cell(cell, self.scale,
-                                            self.resume_dir)
-            self._store(cell, result, resumed)
-            done += 1
-            self._emit("cell-done", cell=cell.label, resumed=resumed,
-                       **self._progress(done, cached, 0, total, started_at,
-                                        index + 1))
+    def _have_solo(self, task):
+        """Whether a solo's value is in memory or (read through) the
+        solo cache; a miss means the solo must run."""
+        if task in self._solos:
+            return True
+        value = (self.solo_cache.get(solo_key(task, self.scale))
+                 if self.solo_cache is not None else None)
+        if value is None:
+            self.solo_stats["misses"] += 1
+            return False
+        self.solo_stats["hits"] += 1
+        self._solos[task] = value
+        return True
+
+    def _store_solo(self, task, value):
+        if self.solo_cache is not None:
+            self.solo_cache.put(solo_key(task, self.scale), task, value)
+        self._solos[task] = value
+
+    def _task_call(self, task):
+        """``(worker, *args)`` of one unsupervised task."""
+        if isinstance(task, SoloTask):
+            return (_execute_solo, task, self.scale)
+        return (_execute_cell, task, self.scale, self.resume_dir)
+
+    def _run_planned(self, pending, counters, cached, total, started_at,
+                     carried=None):
+        """Run pending cells plus their missing solos (see the class
+        docstring) in-process (``jobs=1``), over the process pool, or
+        under the cell supervisor."""
+        join = _SoloJoin(self, pending, counters, cached, total, started_at)
+        tasks = join.schedule(self.jobs)
+        if self.supervision is not None:
+            self._run_supervised(tasks, join, carried)
+        elif self.jobs == 1:
+            for task in tasks:
+                join.start(task, running=1)
+                worker, *args = self._task_call(task)
+                join.land(task, worker(*args), running=0)
+        else:
+            with ProcessPoolExecutor(max_workers=min(self.jobs,
+                                                     len(tasks))) as pool:
+                futures = {}
+                for task in tasks:
+                    futures[pool.submit(*self._task_call(task))] = task
+                    join.start(task, running=len(futures))
+                outstanding = set(futures)
+                while outstanding:
+                    finished, outstanding = wait(
+                        outstanding, return_when=FIRST_COMPLETED)
+                    for future in finished:
+                        join.land(futures[future], future.result(),
+                                  running=len(outstanding))
 
     def _run_batched(self, pending, cached, total, started_at):
         """Fan pending cells out as lockstep packs (batched core lane).
@@ -904,6 +1204,7 @@ class SweepEngine:
                     self._emit("cell-evicted", cell=cell.label,
                                reason="mirror-divergence")
                     slot = _execute_cell(cell, self.scale, None)
+                    _attach_cell_solos(cell, self.scale, slot[0])
                 result, resumed = slot
                 self._store(cell, result, resumed)
                 done += 1
@@ -940,34 +1241,6 @@ class SweepEngine:
                 for future in finished:
                     land(futures[future], future.result())
 
-    def _run_pool(self, pending, cached, total, started_at):
-        done = cached
-        finished_live = 0
-        with ProcessPoolExecutor(max_workers=min(self.jobs,
-                                                 len(pending))) as pool:
-            futures = {}
-            for cell in pending:
-                futures[pool.submit(_execute_cell, cell, self.scale,
-                                    self.resume_dir)] = cell
-                self._emit("cell-start", cell=cell.label,
-                           **self._progress(done, cached, len(futures),
-                                            total, started_at,
-                                            finished_live))
-            outstanding = set(futures)
-            while outstanding:
-                finished, outstanding = wait(outstanding,
-                                             return_when=FIRST_COMPLETED)
-                for future in finished:
-                    cell = futures[future]
-                    result, resumed = future.result()
-                    self._store(cell, result, resumed)
-                    done += 1
-                    finished_live += 1
-                    self._emit(
-                        "cell-done", cell=cell.label, resumed=resumed,
-                        **self._progress(done, cached, len(outstanding),
-                                         total, started_at, finished_live))
-
     # -- supervised execution --------------------------------------------
 
     def _heartbeat_file(self, cell):
@@ -978,6 +1251,9 @@ class SweepEngine:
             run_slug(cell.workload, cell.policy, cell.seed) + ".hb")
 
     def _ledger_info(self, cell):
+        if isinstance(cell, SoloTask):
+            return {"solo": cell.profile.name, "seed": cell.seed,
+                    "key": solo_key(cell, self.scale)}
         checkpoint = None
         if self.resume_dir is not None:
             from repro.reliability.guard import run_slug
@@ -990,11 +1266,11 @@ class SweepEngine:
                 "checkpoint": checkpoint}
 
     def _supervised_hooks(self, cached, total, started_at):
-        """Shared progress plumbing for the supervised paths: an event
-        forwarder that decorates ``cell-start`` with progress fields and
-        the store-and-emit completion callback, over one shared counter
-        state (so the batched path's pack stage and scalar leftover
-        stage report one continuous sweep)."""
+        """Progress plumbing for the pack stage of the supervised batched
+        path: an event forwarder that decorates ``cell-start`` with
+        progress fields and the store-and-emit completion callback, over
+        a counter state the per-cell leftover stage continues (so the
+        two stages report one continuous sweep)."""
         counters = {"done": cached, "live": 0}
 
         def forward(event, **fields):
@@ -1017,29 +1293,13 @@ class SweepEngine:
 
         return counters, forward, on_result
 
-    def _cell_supervisor(self, forward, on_result):
-        """A :class:`CellSupervisor` wired to this engine's workers,
-        validation, ledger and event stream."""
-        heartbeats = (self._heartbeat_file
-                      if self.supervision.cell_timeout is not None else None)
-
-        def task_args(cell, attempt):
-            return (cell, self.scale, self.resume_dir,
-                    self._heartbeat_file(cell) if heartbeats else None,
-                    attempt, self.fault_plan)
-
-        return CellSupervisor(
-            worker=_execute_cell, task_args=task_args, jobs=self.jobs,
-            config=self.supervision,
-            item_key=lambda cell: cell.label,
-            item_label=lambda cell: cell.label,
-            heartbeat_path=heartbeats,
-            validate=_validate_cell_value, on_result=on_result,
-            emit=forward, ledger=QuarantineLedger(self.quarantine_path),
-            ledger_info=self._ledger_info)
-
     def _merge_supervisor(self, supervisor):
-        self.quarantined.update(supervisor.quarantined)
+        for item, entry in supervisor.quarantined.items():
+            if isinstance(item, SoloTask):
+                self.quarantined_solos[item] = entry
+            else:
+                # A cell given up on because of its solo keeps that entry.
+                self.quarantined.setdefault(item, entry)
         self.supervisor_stats["retries"] += supervisor.retries
         self.supervisor_stats["timeouts"] += supervisor.timeouts
         self.supervisor_stats["pool_breaks"] += supervisor.pool_breaks
@@ -1049,21 +1309,84 @@ class SweepEngine:
         self.supervisor_stats["evicted"] += len(getattr(
             supervisor, "evicted", ()))
 
-    def _run_supervised(self, pending, cached, total, started_at):
-        """Fan pending cells out under the cell supervisor.
+    def _run_supervised(self, tasks, join, carried=None):
+        """Run planned cells and solos under one cell supervisor.
 
-        Lifecycle events come through with the same progress fields as
-        the plain paths, plus the supervisor's own ``cell-retry`` /
+        Cell events come through with the same progress fields as the
+        unsupervised paths, plus the supervisor's own ``cell-retry`` /
         ``cell-timeout`` / ``cell-quarantined`` / ``pool-broken`` /
-        ``pool-rebuilt`` / ``sweep-degraded`` events.  Completed cells
-        are validated, cached and counted exactly as unsupervised runs,
-        so a fault-free supervised sweep is byte-identical to one.
+        ``pool-rebuilt`` / ``sweep-degraded`` events; a solo's lifecycle
+        is reported as ``solo-start`` / ``solo-retry`` /
+        ``solo-quarantined`` / ``solo-done`` instead.  Solos heartbeat
+        nothing (a solo is one uninterrupted run), so ``cell_timeout``
+        never fires on them.  ``carried`` is a pack supervisor whose
+        deferred cells keep the attempts they were charged in a pack.
         """
-        __, forward, on_result = self._supervised_hooks(cached, total,
-                                                        started_at)
-        supervisor = self._cell_supervisor(forward, on_result)
-        supervisor.run(pending)
+        by_label = {task.label: task for task in tasks}
+        timeouts = self.supervision.cell_timeout is not None
+
+        def heartbeat(task):
+            if isinstance(task, SoloTask):
+                return None
+            return self._heartbeat_file(task)
+
+        def task_args(task, attempt):
+            return (task, self.scale, self.resume_dir,
+                    heartbeat(task) if timeouts else None,
+                    attempt, self.fault_plan)
+
+        def forward(event, **fields):
+            task = by_label.get(fields.get("cell"))
+            if event == "cell-start":
+                del fields["cell"]
+                join.start(task, **fields)
+            elif isinstance(task, SoloTask):
+                fields["solo"] = fields.pop("cell")
+                self._emit(event.replace("cell-", "solo-", 1), **fields)
+                if event == "cell-quarantined":
+                    # The supervisor files the entry before emitting.
+                    join.solo_failed(task, supervisor.quarantined[task])
+            else:
+                self._emit(event, **fields)
+
+        supervisor = CellSupervisor(
+            worker=_execute_task, task_args=task_args, jobs=self.jobs,
+            config=self.supervision,
+            item_key=lambda task: task.label,
+            item_label=lambda task: task.label,
+            heartbeat_path=heartbeat if timeouts else None,
+            validate=_validate_task_value,
+            on_result=join.land, emit=forward,
+            ledger=QuarantineLedger(self.quarantine_path),
+            ledger_info=self._ledger_info,
+            progress=lambda task: not isinstance(task, SoloTask))
+        if carried is not None:
+            supervisor.attempts.update(
+                {cell: carried.attempts[cell] for cell in carried.deferred})
+            supervisor.failures.update(
+                {cell: list(carried.failures[cell])
+                 for cell in carried.deferred})
+        supervisor.run(tasks)
         self._merge_supervisor(supervisor)
+
+    def _quarantine_dependent(self, cell, task, entry):
+        """Give up on a cell whose solo ``task`` was quarantined: ledger
+        record, ``cell-quarantined`` event, no result."""
+        last = entry["last_error"].splitlines()
+        error = ("SoloQuarantined: %s failed %d attempts: %s"
+                 % (task.label, entry["attempts"], last[0] if last else ""))
+        record = {
+            "cell": cell.label,
+            "attempts": entry["attempts"],
+            "failures": [error],
+            "last_error": error,
+            "quarantined_at": round(time.time(), 3),  # repro: allow-nondeterminism[ND101] (ledger timestamp, not results)
+        }
+        record.update(self._ledger_info(cell))
+        QuarantineLedger(self.quarantine_path).record(record)
+        self.quarantined[cell] = record
+        self._emit("cell-quarantined", cell=cell.label,
+                   attempts=entry["attempts"], error=error)
 
     def _pack_heartbeat_file(self, pack):
         digest = hashlib.sha256(
@@ -1104,13 +1427,14 @@ class SweepEngine:
         audit-flagged cells, quarantine of repeat offenders.  Cells a
         previous sweep already checkpointed, plus whatever the pack
         stage deferred or evicted, finish under the ordinary cell
-        supervisor — with their in-pack attempt counts carried over, so
-        ``max_attempts`` means the same thing on both lanes.
+        supervisor with the engine's solo plan — with their in-pack
+        attempt counts carried over, so ``max_attempts`` means the same
+        thing on both lanes.
         """
         from repro.experiments.batchrun import pack_cells
 
-        __, forward, on_result = self._supervised_hooks(cached, total,
-                                                        started_at)
+        counters, forward, on_result = self._supervised_hooks(
+            cached, total, started_at)
         fresh, leftovers = [], []
         for cell in pending:
             (leftovers if self._cell_has_checkpoint(cell)
@@ -1142,16 +1466,8 @@ class SweepEngine:
             leftovers.extend(pack_sup.evicted)
             leftovers.extend(pack_sup.deferred)
         if leftovers:
-            supervisor = self._cell_supervisor(forward, on_result)
-            if pack_sup is not None:
-                supervisor.attempts.update(
-                    {cell: pack_sup.attempts[cell]
-                     for cell in pack_sup.deferred})
-                supervisor.failures.update(
-                    {cell: list(pack_sup.failures[cell])
-                     for cell in pack_sup.deferred})
-            supervisor.run(leftovers)
-            self._merge_supervisor(supervisor)
+            self._run_planned(leftovers, counters, cached, total,
+                              started_at, carried=pack_sup)
 
     # -- grid conveniences ----------------------------------------------
 
@@ -1260,10 +1576,13 @@ __all__ = [
     "SWEEP_EVENTS",
     "Supervision",
     "SWEEP_PRESETS",
+    "SoloCache",
+    "SoloTask",
     "SweepCell",
     "SweepEngine",
     "cache_key",
     "canonical_policy",
+    "cell_solos",
     "clear_fingerprint_memo",
     "code_fingerprint",
     "default_cache_dir",
@@ -1272,4 +1591,5 @@ __all__ = [
     "merged_json",
     "policy_factory",
     "pool_map",
+    "solo_key",
 ]

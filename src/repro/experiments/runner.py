@@ -274,16 +274,14 @@ def make_processor(workload, policy, scale, warm=True):
     return proc
 
 
-def run_policy(workload, policy, scale, epochs=None, checker=None,
-               injector=None, sanitize_partitions=False):
-    """Run one policy over a workload for the scaled window.
+def simulate_policy(workload, policy, scale, epochs=None, checker=None,
+                    injector=None, sanitize_partitions=False):
+    """The simulation half of :func:`run_policy`: the epoch loop only.
 
-    Returns a :class:`RunResult` with SingleIPCs attached so every metric
-    of Section 3.1.1 can be evaluated on it.  ``checker`` / ``injector`` /
-    ``sanitize_partitions`` pass straight through to the
-    :class:`~repro.core.controller.EpochController` (see
-    :mod:`repro.reliability`); the guarded, resumable variant is
-    :func:`repro.reliability.guard.run_policy_resilient`.
+    Returns a :class:`RunResult` *without* SingleIPCs (``single_ipcs``
+    is ``None``); :func:`attach_solos` completes it.  The parallel sweep
+    engine calls this half in its workers and attaches solos it shares
+    across cells in the parent.
     """
     proc = make_processor(workload, policy, scale)
     controller = EpochController(proc, epoch_size=scale.epoch_size,
@@ -297,9 +295,33 @@ def run_policy(workload, policy, scale, epochs=None, checker=None,
         ipcs=controller.overall_ipcs(),
         committed=committed,
         cycles=cycles,
-        single_ipcs=solo_ipcs(workload, scale),
         epoch_history=controller.history,
     )
+
+
+def attach_solos(result, workload, scale):
+    """The solo half of :func:`run_policy`: attach the workload's
+    SingleIPCs, measured at ``scale`` (its epoch count, not a per-run
+    override), to ``result`` in place; returns ``result``."""
+    result.single_ipcs = solo_ipcs(workload, scale)
+    return result
+
+
+def run_policy(workload, policy, scale, epochs=None, checker=None,
+               injector=None, sanitize_partitions=False):
+    """Run one policy over a workload for the scaled window.
+
+    Returns a :class:`RunResult` with SingleIPCs attached so every metric
+    of Section 3.1.1 can be evaluated on it.  ``checker`` / ``injector`` /
+    ``sanitize_partitions`` pass straight through to the
+    :class:`~repro.core.controller.EpochController` (see
+    :mod:`repro.reliability`); the guarded, resumable variant is
+    :func:`repro.reliability.guard.run_policy_resilient`.
+    """
+    result = simulate_policy(workload, policy, scale, epochs=epochs,
+                             checker=checker, injector=injector,
+                             sanitize_partitions=sanitize_partitions)
+    return attach_solos(result, workload, scale)
 
 
 def run_policy_multi(workload, policy_factory, scale, seeds=(0, 1, 2),

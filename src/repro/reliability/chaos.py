@@ -14,6 +14,8 @@ injects configurable faults into sweep workers and asserts convergence:
 * :class:`FlakyCell` — raise on the first attempt, succeed after, the
   transient-infrastructure case retries exist for;
 * :class:`PoisonCell` — fail every attempt, forcing quarantine;
+* :class:`PoisonSolo` — fail every attempt of a SingleIPC solo task, so
+  the solo and every cell that needs it are quarantined;
 * :class:`BootstrapCrash` — fail while *constructing* the cell, the
   deterministic error class that must abort instead of retry;
 * :class:`MirrorCorrupt` — skew one cell's SoA mirror inside a batched
@@ -82,6 +84,10 @@ class ChaosFault:
 
     def before_cell(self, plan, cell, attempt):
         """Runs before the cell is constructed."""
+
+    def before_solo(self, plan, task, attempt):
+        """Runs before a SingleIPC solo task simulates (labels match
+        ``task.label``, e.g. ``solo:art/s0``)."""
 
     def on_epoch(self, plan, cell, attempt, epoch_id):
         """Runs after each completed epoch (post checkpoint/manifest)."""
@@ -167,6 +173,19 @@ class PoisonCell(ChaosFault):
                               % attempt)
 
 
+class PoisonSolo(ChaosFault):
+    """Fail every attempt of a SingleIPC solo task: the solo and every
+    cell that needs it must end up quarantined."""
+
+    def __init__(self, labels=None, attempts=None):
+        super().__init__(labels, attempts)
+
+    def before_solo(self, plan, task, attempt):
+        if self.matches(task, attempt):
+            raise ChaosPoison("injected persistent solo failure "
+                              "(attempt %d)" % attempt)
+
+
 class BootstrapCrash(ChaosFault):
     """Raise the supervisor's fatal bootstrap error: deterministic,
     must abort the sweep rather than burn retries."""
@@ -213,6 +232,10 @@ class ChaosPlan:
     def before_cell(self, cell, attempt):
         for fault in self.faults:
             fault.before_cell(self, cell, attempt)
+
+    def before_solo(self, task, attempt):
+        for fault in self.faults:
+            fault.before_solo(self, task, attempt)
 
     def on_epoch(self, cell, attempt, epoch_id):
         for fault in self.faults:
@@ -439,6 +462,7 @@ __all__ = [
     "KillWorker",
     "MirrorCorrupt",
     "PoisonCell",
+    "PoisonSolo",
     "build_plan",
     "default_grid",
     "run_chaos",

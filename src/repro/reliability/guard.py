@@ -32,8 +32,8 @@ import time
 from repro.core.controller import EpochController
 from repro.experiments.runner import (
     RunResult,
+    attach_solos,
     make_processor,
-    solo_ipcs,
 )
 from repro.reliability.invariants import InvariantViolation
 
@@ -270,12 +270,7 @@ def _recover(proc):
 # ----------------------------------------------------------------------
 
 
-def run_policy_resilient(workload, policy, scale, epochs=None, run_dir=None,
-                         resume=False, max_retries=2, livelock_epochs=5,
-                         max_wall_seconds=None, max_cycles=None, checker=None,
-                         injector=None, sanitize_partitions=True,
-                         checkpoint_period=1, stop_after=None, log=None,
-                         on_epoch=None):
+def run_policy_resilient(workload, policy, scale, **options):
     """Guarded, checkpointing, resumable version of
     :func:`~repro.experiments.runner.run_policy`.
 
@@ -293,7 +288,29 @@ def run_policy_resilient(workload, policy, scale, epochs=None, run_dir=None,
     supervisor touches a per-cell heartbeat file here, which is what lets
     it tell a slow-but-alive cell from a hung one (docs/RELIABILITY.md,
     "Sweep supervision").  Exceptions it raises are *not* retried.
+
+    This is :func:`simulate_policy_resilient` (which takes the
+    ``options``: ``epochs``, ``run_dir``, ``resume``, ``max_retries``,
+    ``livelock_epochs``, ``max_wall_seconds``, ``max_cycles``,
+    ``checker``, ``injector``, ``sanitize_partitions``,
+    ``checkpoint_period``, ``stop_after``, ``log``, ``on_epoch``)
+    followed by :func:`~repro.experiments.runner.attach_solos`.
     """
+    result = simulate_policy_resilient(workload, policy, scale, **options)
+    return attach_solos(result, workload, scale)
+
+
+def simulate_policy_resilient(workload, policy, scale, epochs=None,
+                              run_dir=None, resume=False, max_retries=2,
+                              livelock_epochs=5, max_wall_seconds=None,
+                              max_cycles=None, checker=None, injector=None,
+                              sanitize_partitions=True, checkpoint_period=1,
+                              stop_after=None, log=None, on_epoch=None):
+    """The simulation half of :func:`run_policy_resilient`: every guard,
+    checkpoint and resume rule, but the returned result (and the
+    ``result.json`` a finished run leaves) carries no SingleIPCs — the
+    sweep engine's workers call this half and the parent attaches solos
+    shared across cells."""
     say = log if log is not None else (lambda message: None)
     target = scale.epochs if epochs is None else epochs
     store = RunStore(run_dir) if run_dir is not None else None
@@ -392,7 +409,6 @@ def run_policy_resilient(workload, policy, scale, epochs=None, run_dir=None,
         ipcs=controller.overall_ipcs(),
         committed=committed,
         cycles=cycles,
-        single_ipcs=solo_ipcs(workload, scale),
         epoch_history=controller.history,
         reliability={
             "retries": retries,
@@ -448,4 +464,5 @@ __all__ = [
     "compare_policies_resilient",
     "run_policy_resilient",
     "run_slug",
+    "simulate_policy_resilient",
 ]

@@ -80,6 +80,11 @@ SWEEP_EVENTS = (
     # PackSupervisor containment (batched lane)
     "pack-bisect",
     "cell-evicted",
+    # SingleIPC solo tasks (never reported as cell-* events)
+    "solo-start",
+    "solo-done",
+    "solo-retry",
+    "solo-quarantined",
 )
 
 
@@ -284,6 +289,12 @@ class CellSupervisor:
     ``ledger`` / ``ledger_info(item)``
         Optional :class:`QuarantineLedger` plus static per-item fields
         (cell key, checkpoint path) merged into each quarantine record.
+    ``progress(item)``
+        Whether completing ``item`` shows the pool can make progress,
+        resetting the consecutive-collapse count of the degrade rule
+        (default: every item).  The engine's SingleIPC solo tasks do
+        not count, so a pool that finishes only solos while every cell
+        dies still degrades.
 
     After :meth:`run`: ``quarantined`` maps given-up items to their
     ledger entries; ``attempts``, ``retries``, ``timeouts``,
@@ -292,7 +303,8 @@ class CellSupervisor:
 
     def __init__(self, worker, task_args, jobs, config, item_key=str,
                  item_label=str, heartbeat_path=None, validate=None,
-                 on_result=None, emit=None, ledger=None, ledger_info=None):
+                 on_result=None, emit=None, ledger=None, ledger_info=None,
+                 progress=None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.worker = worker
@@ -307,6 +319,7 @@ class CellSupervisor:
         self.emit = emit
         self.ledger = ledger
         self.ledger_info = ledger_info
+        self.progress = progress
         self.quarantined = {}
         self.attempts = {}
         self.failures = {}
@@ -396,7 +409,8 @@ class CellSupervisor:
 
     def _complete(self, item, value, results, running):
         results[item] = value
-        self._breaks_in_a_row = 0
+        if self.progress is None or self.progress(item):
+            self._breaks_in_a_row = 0
         if self.on_result is not None:
             self.on_result(item, value, running)
 

@@ -4,7 +4,8 @@ A worker owns no scheduling state.  It registers with the daemon, then
 loops: lease one cell, simulate it through the exact same
 :func:`~repro.experiments.parallel._execute_cell` path the process-pool
 workers use (checkpointed into the daemon's shared ``resume_dir``, so a
-reclaimed cell resumes mid-run on whichever node picks it up), renew
+reclaimed cell resumes mid-run on whichever node picks it up), attach
+its SingleIPC solos from this worker's own in-process solo LRU, renew
 the lease with heartbeats while the simulation runs on a background
 thread, and upload the ``RunResult``.  Losing the lease (HTTP 410) is
 *not* fatal: the worker finishes and uploads anyway — the result is
@@ -37,7 +38,7 @@ import time
 import urllib.error
 import urllib.request
 
-from repro.experiments.parallel import _execute_cell
+from repro.experiments.parallel import _attach_cell_solos, _execute_cell
 from repro.service import protocol
 
 
@@ -277,9 +278,11 @@ def run_worker(server_url, poll_interval=0.25, max_cells=None,
                     continue
                 task = entry["task"]
                 try:
-                    entry["outcome"]["value"] = _execute_cell(
+                    result, resumed = _execute_cell(
                         entry["cell"], entry["scale"],
                         task["resume_dir"], attempt=task["attempt"])
+                    _attach_cell_solos(entry["cell"], entry["scale"], result)
+                    entry["outcome"]["value"] = (result, resumed)
                 except BaseException as exc:  # report, don't die
                     entry["outcome"]["error"] = "%s: %s" \
                         % (type(exc).__name__, exc)

@@ -423,3 +423,219 @@ class TestMergedQuarantineSection:
         results = engine.run_cells(cells)
         doc = json.loads(merged_json(cells, results, scale))
         assert doc["quarantined"] == []
+
+
+# -- shared SingleIPC solos ---------------------------------------------------
+
+#: Two workloads sharing their benchmarks (art, mcf): four distinct solos.
+SHARED = ("art-mcf", "art-mcf-swim-twolf")
+SHARED_SOLOS = ["solo:art/s0", "solo:mcf/s0", "solo:swim/s0",
+                "solo:twolf/s0"]
+
+
+def _read_events(path):
+    with open(path) as handle:
+        return [json.loads(line) for line in handle]
+
+
+def _solo_labels(events, kind="solo-done"):
+    return sorted(event["solo"] for event in events
+                  if event["event"] == kind)
+
+
+class TestSharedSolos:
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_each_distinct_solo_runs_once_and_results_are_identical(
+            self, scale, tmp_path, supervised):
+        from repro.experiments.runner import run_policy
+        from repro.reliability.supervisor import Supervision
+        from repro.workloads.mixes import get_workload
+
+        cells = grid_cells(workloads=SHARED, policies=("ICOUNT", "DCRA"))
+        docs = {}
+        for jobs in (1, 2):
+            events_path = str(tmp_path / ("events-%d.jsonl" % jobs))
+            engine = SweepEngine(
+                scale, jobs=jobs, cache_dir=str(tmp_path / ("c%d" % jobs)),
+                events_path=events_path,
+                supervision=Supervision() if supervised else None)
+            docs[jobs] = merged_json(cells, engine.run_cells(cells), scale)
+            events = _read_events(events_path)
+            assert _solo_labels(events, "solo-start") == SHARED_SOLOS
+            assert _solo_labels(events) == SHARED_SOLOS
+            assert [e["event"] for e in events].count("cell-start") == 4
+            assert engine.solo_stats == {"hits": 0, "misses": 4}
+            assert ResultCache(str(tmp_path / ("c%d" % jobs))).info() \
+                .entries == 4
+            assert parallel.SoloCache(str(tmp_path / ("c%d" % jobs))) \
+                .info().entries == 4
+        assert docs[1] == docs[2]
+        plain = [run_policy(get_workload(cell.workload),
+                            parallel.policy_factory(cell.policy, scale)(),
+                            scale) for cell in cells]
+        assert docs[1] == merged_json(cells, plain, scale)
+
+    def test_a_later_sweep_over_the_same_workloads_runs_no_solos(
+            self, scale, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        first = grid_cells(workloads=SHARED, policies=("ICOUNT",))
+        SweepEngine(scale, jobs=2, cache_dir=cache_dir).run_cells(first)
+
+        events_path = str(tmp_path / "events.jsonl")
+        cells = grid_cells(workloads=SHARED, policies=("ICOUNT", "FLUSH"))
+        engine = SweepEngine(scale, jobs=2, cache_dir=cache_dir,
+                             events_path=events_path)
+        results = engine.run_cells(cells)
+        events = _read_events(events_path)
+        assert _solo_labels(events, "solo-start") == []
+        assert engine.solo_stats == {"hits": 4, "misses": 0}
+        assert engine.stats["misses"] == 2
+        reference = SweepEngine(scale, cache_dir=str(tmp_path / "ref"))
+        assert merged_json(cells, results, scale) == \
+            merged_json(cells, reference.run_cells(cells), scale)
+
+    def test_epochs_override_keeps_solos_at_the_scale_epoch_count(
+            self, scale, tmp_path):
+        from repro.experiments.runner import run_policy
+        from repro.policies.icount import ICountPolicy
+        from repro.workloads.mixes import get_workload
+
+        cell = SweepCell(workload="art-mcf", policy="ICOUNT", epochs=3)
+        engine = SweepEngine(scale, cache_dir=str(tmp_path / "cache"))
+        (result,) = engine.run_cells([cell])
+        plain = run_policy(get_workload("art-mcf"), ICountPolicy(), scale,
+                           epochs=3)
+        assert result.to_dict() == plain.to_dict()
+        assert result.cycles == 3 * scale.epoch_size
+
+    def test_use_cache_false_shares_solos_in_memory_and_writes_nothing(
+            self, scale, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        events_path = str(tmp_path / "events.jsonl")
+        engine = SweepEngine(scale, jobs=2, cache_dir=cache_dir,
+                             use_cache=False, events_path=events_path)
+        engine.run_cells(grid_cells(workloads=SHARED,
+                                    policies=("ICOUNT", "DCRA")))
+        assert _solo_labels(_read_events(events_path)) == SHARED_SOLOS
+        assert not os.path.exists(cache_dir)
+        # A second run on the same engine reuses the in-memory solos.
+        engine.run_cells(grid_cells(workloads=SHARED, policies=("FLUSH",)))
+        assert _solo_labels(_read_events(events_path)) == SHARED_SOLOS
+        assert engine.solo_stats["misses"] == 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_poisoned_solo_quarantines_exactly_its_dependent_cells(
+            self, scale, tmp_path, jobs):
+        from repro.reliability.chaos import ChaosPlan, PoisonSolo
+        from repro.reliability.supervisor import QuarantineLedger, Supervision
+
+        cells = grid_cells(workloads=("art-mcf", "art-mcf-swim-twolf",
+                                      "apsi-eon"), policies=("ICOUNT",))
+        events_path = str(tmp_path / "events.jsonl")
+        engine = SweepEngine(
+            scale, jobs=jobs, cache_dir=str(tmp_path / "cache"),
+            events_path=events_path,
+            supervision=Supervision(max_attempts=2, retry_base_delay=0.01,
+                                    poll_interval=0.05),
+            fault_plan=ChaosPlan([PoisonSolo(("solo:mcf/s0",))]))
+        results = engine.run_cells(cells)
+
+        victims = {"art-mcf/ICOUNT/s0", "art-mcf-swim-twolf/ICOUNT/s0"}
+        assert {cell.label for cell in engine.quarantined} == victims
+        assert [task.label for task in engine.quarantined_solos] \
+            == ["solo:mcf/s0"]
+        for cell, entry in engine.quarantined.items():
+            assert "solo:mcf/s0" in entry["last_error"]
+            assert entry["attempts"] == 2
+        assert [result is None for result in results] == [True, True, False]
+        assert results[2].single_ipcs is not None
+
+        events = _read_events(events_path)
+        done = [e["cell"] for e in events if e["event"] == "cell-done"]
+        assert done == ["apsi-eon/ICOUNT/s0"]
+        assert _solo_labels(events, "solo-quarantined") == ["solo:mcf/s0"]
+        assert not any(e["event"].startswith("cell-")
+                       and e.get("cell", "").startswith("solo:")
+                       for e in events)
+        ledger = QuarantineLedger(engine.quarantine_path).entries()
+        assert sorted(entry.get("solo") or entry["cell"]
+                      for entry in ledger) == sorted(victims | {"mcf"})
+        doc = json.loads(merged_json(cells, results, scale,
+                                     quarantined=engine.quarantined))
+        assert [rec["workload"] for rec in doc["quarantined"]] \
+            == ["art-mcf", "art-mcf-swim-twolf"]
+        assert all(rec["result"]["single_ipcs"] for rec in doc["cells"])
+
+
+class TestSoloCache:
+    def test_tampered_solo_entry_is_resimulated_to_identical_results(
+            self, scale, tmp_path, capsys):
+        from repro.workloads.mixes import get_workload
+
+        cache_dir = str(tmp_path / "cache")
+        SweepEngine(scale, cache_dir=cache_dir).run_cells(
+            grid_cells(workloads=("art-mcf",), policies=("ICOUNT",)))
+        solos = parallel.SoloCache(cache_dir)
+        art = parallel.SoloTask(get_workload("art-mcf").profiles[0], 0)
+        path = solos._path(parallel.solo_key(art, scale))
+        with open(path) as handle:
+            document = json.load(handle)
+        document["result"]["single_ipc"] *= 2.0
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        capsys.readouterr()
+
+        events_path = str(tmp_path / "events.jsonl")
+        cells = grid_cells(workloads=("art-mcf",),
+                           policies=("ICOUNT", "DCRA"))
+        engine = SweepEngine(scale, cache_dir=cache_dir,
+                             events_path=events_path)
+        results = engine.run_cells(cells)
+        assert "corrupt solo cache entry" in capsys.readouterr().err
+        assert _solo_labels(_read_events(events_path), "solo-start") \
+            == ["solo:art/s0"]
+        assert os.path.exists(path[:-len(".json")] + ".corrupt")
+        assert solos.info().corrupt == 1
+        reference = SweepEngine(scale, cache_dir=str(tmp_path / "ref"))
+        assert merged_json(cells, results, scale) == \
+            merged_json(cells, reference.run_cells(cells), scale)
+
+    def test_solo_entry_filed_under_the_wrong_key_is_a_miss(
+            self, scale, tmp_path, capsys):
+        cache_dir = str(tmp_path / "cache")
+        SweepEngine(scale, cache_dir=cache_dir).run_cells(
+            grid_cells(workloads=("art-mcf",), policies=("ICOUNT",)))
+        solos = parallel.SoloCache(cache_dir)
+        (path, other) = sorted(solos._entries())
+        os.replace(other, path)
+        key = os.path.basename(path)[:-len(".json")]
+        assert solos.get(key) is None
+        assert "corrupt solo cache entry" in capsys.readouterr().err
+
+    def test_policy_edits_never_invalidate_solos_substrate_edits_do(
+            self, scale, tmp_path, monkeypatch):
+        from repro.workloads.mixes import get_workload
+
+        task = parallel.SoloTask(get_workload("art-mcf").profiles[0], 0)
+        fake = tmp_path / "fake_source.py"
+        fake.write_text("TUNING = 1\n")
+        rel = os.path.relpath(str(fake), parallel._package_root())
+        try:
+            clear_fingerprint_memo()
+            base = parallel.solo_key(task, scale)
+            monkeypatch.setitem(parallel._POLICY_SOURCES, "DCRA",
+                                ("policies/dcra.py", rel))
+            clear_fingerprint_memo()
+            fake.write_text("TUNING = 2\n")
+            assert parallel.solo_key(task, scale) == base
+            monkeypatch.setattr(parallel, "_CORE_SOURCES",
+                                parallel._CORE_SOURCES + (rel,))
+            clear_fingerprint_memo()
+            with_substrate = parallel.solo_key(task, scale)
+            fake.write_text("TUNING = 3\n")
+            clear_fingerprint_memo()
+            assert parallel.solo_key(task, scale) != with_substrate
+        finally:
+            clear_fingerprint_memo()
+        longer = scale.with_overrides(epochs=scale.epochs + 1)
+        assert parallel.solo_key(task, longer) != base

@@ -373,12 +373,14 @@ class TestDrainRestart:
         client = ServiceClient(first.url)
         record = client.submit(grid=ONE_CELL, scale=SCALE_SPEC)
         worker, status, task = lease_one(first.url)
-        from repro.experiments.parallel import _execute_cell
+        from repro.experiments.parallel import (_attach_cell_solos,
+                                                _execute_cell)
 
         (cell,) = grid_cells(**ONE_CELL)
-        result, resumed = _execute_cell(
-            cell, protocol.scale_from_spec(task["scale"]),
-            task["resume_dir"])
+        scale = protocol.scale_from_spec(task["scale"])
+        # What a `repro worker` does: simulate, then attach solos.
+        result, resumed = _execute_cell(cell, scale, task["resume_dir"])
+        _attach_cell_solos(cell, scale, result)
         status, _body = _http(
             "POST", "%s/v1/workers/%s/result" % (first.url, worker),
             {"key": task["key"], "ok": True, "result": result.to_dict(),
