@@ -185,7 +185,10 @@ def run_service_chaos(preset, scale_name="smoke", keep=False,
                 % (job_id, len(cells), handle.url))
 
             if preset == "kill-worker":
-                _wait_for(lambda: client.stats()["leases"] >= 1,
+                # Wait until every worker holds a lease (one cell each),
+                # so the victim surely takes a lease down with it; the
+                # first lease alone may belong to the other worker.
+                _wait_for(lambda: client.stats()["leased"] >= len(workers),
                           timeout=30.0)
                 victim = workers[0]
                 say("SIGKILL worker pid %d mid-sweep" % victim.pid)
