@@ -25,11 +25,15 @@ Two modes:
     hermetic fast lane's.  Finally the same grid as one *supervised*
     pack (the PackSupervisor path of ``repro sweep --batch-cells``),
     asserting supervision overhead does not surrender the pack's
-    throughput win over hermetic fast.  Exits 1 with a diagnostic on
-    failure.
+    throughput win over hermetic fast.  A last leg runs the smoke-scale
+    OFF-LINE and RAND-HILL learners with their trial epochs in-process
+    (``jobs=1``) and on two worker processes (``jobs=2``) and asserts the
+    canonical JSON of every epoch is identical.  Exits 1 with a
+    diagnostic on failure.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -106,7 +110,36 @@ def run_check(epochs, warmup):
     print("[bench] OK: supervised-batched keeps the pack win "
           "(%.2fx the hermetic fast lane)"
           % (supervised["kips"] / fast_lane["kips"]))
+    # Leg four: parallel learner trials must not change a single byte.
+    serial, parallel = learner_json(jobs=1), learner_json(jobs=2)
+    if serial != parallel:
+        print("error: learner results differ between jobs=1 and jobs=2",
+              file=sys.stderr)
+        return 1
+    print("[bench] OK: OFF-LINE and RAND-HILL identical at jobs=1 and "
+          "jobs=2 (%d bytes)" % len(serial))
     return 0
+
+
+def learner_json(jobs):
+    """Canonical JSON of smoke-scale OFF-LINE (art-mcf) and RAND-HILL
+    (art-mcf, art-mcf-swim-twolf) runs with ``jobs`` trial workers."""
+    from repro.experiments.figures import run_offline, run_rand_hill
+    from repro.experiments.runner import ExperimentScale
+    from repro.workloads.mixes import get_workload
+
+    scale = ExperimentScale.smoke().with_overrides(epochs=3)
+    runs = [("OFF-LINE", "art-mcf", run_offline),
+            ("RAND-HILL", "art-mcf", run_rand_hill),
+            ("RAND-HILL", "art-mcf-swim-twolf", run_rand_hill)]
+    document = {}
+    for unit, name, run in runs:
+        learner = run(get_workload(name), scale, jobs=jobs)
+        document["%s/%s" % (name, unit)] = {
+            "epochs": [dataclasses.asdict(epoch) for epoch in learner.epochs],
+            "ipcs": learner.overall_ipcs(),
+        }
+    return json.dumps(document, sort_keys=True)
 
 
 def supervised_batched_kips(epochs, warmup):

@@ -10,6 +10,7 @@ interval from a checkpoint for every grid point.
 
 from dataclasses import dataclass
 
+from repro.core.trials import TrialRunner
 from repro.pipeline.checkpoint import Checkpoint
 
 
@@ -37,7 +38,7 @@ class DistributionSurface:
         return rows
 
 
-def distribution_surface(proc, interval, step=None):
+def distribution_surface(proc, interval, step=None, jobs=None):
     """Sweep the 3-thread distribution space from the machine's current
     state.
 
@@ -50,6 +51,9 @@ def distribution_surface(proc, interval, step=None):
         Cycles to replay per grid point (the paper uses 32K).
     step:
         Grid step in integer rename registers.
+    jobs:
+        Trial worker processes (see :mod:`repro.core.trials`); ``None``
+        uses the usable CPUs.  The surface does not depend on it.
     """
     if proc.num_threads != 3:
         raise ValueError("Figure 2 surface needs exactly 3 threads")
@@ -59,22 +63,18 @@ def distribution_surface(proc, interval, step=None):
     step = step or max(4, total // 16)
     checkpoint = Checkpoint(proc)
     axis = list(range(minimum, total - 2 * minimum + 1, step))
+    points = [(share0, share1, total - share0 - share1)
+              for share0 in axis for share1 in axis
+              if total - share0 - share1 >= minimum]
+    with TrialRunner(jobs) as runner:
+        outcomes = runner.run(checkpoint, points, interval)
     ipc = {}
     peak = None
-    for share0 in axis:
-        for share1 in axis:
-            share2 = total - share0 - share1
-            if share2 < minimum:
-                continue
-            trial = checkpoint.materialize()
-            trial.partitions.set_shares([share0, share1, share2])
-            before = trial.stats.copy()
-            trial.run(interval)
-            committed, cycles = trial.stats.delta_since(before)
-            value = sum(committed) / max(cycles, 1)
-            ipc[(share0, share1)] = value
-            if peak is None or value > peak[1]:
-                peak = ((share0, share1, share2), value)
+    for shares, (committed, cycles) in zip(points, outcomes):
+        value = sum(committed) / max(cycles, 1)
+        ipc[shares[:2]] = value
+        if peak is None or value > peak[1]:
+            peak = (shares, value)
     return DistributionSurface(
         share_axis=axis,
         ipc=ipc,

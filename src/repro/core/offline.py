@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from repro.core.controller import EpochResult
 from repro.core.metrics import WeightedIPC
 from repro.core.partition import share_grid
+from repro.core.trials import TrialRunner
 from repro.pipeline.checkpoint import Checkpoint
 
 
@@ -42,34 +43,40 @@ class OfflineEpoch:
         return sorted(points)
 
 
-def exhaustive_curve(checkpoint, epoch_size, metric, single_ipcs, stride):
+def exhaustive_curve(proc, checkpoint, epoch_size, metric, single_ipcs,
+                     stride, jobs=None, runner=None):
     """Sweep every stride-grid partitioning of one epoch from a checkpoint.
 
+    ``proc`` is the processor ``checkpoint`` was taken from; only its
+    config and thread count are read.  The trials run through ``runner``
+    (an open :class:`~repro.core.trials.TrialRunner` to reuse across
+    epochs) or, without one, through a runner made from ``jobs`` for this
+    call; the curve is the same for every job count.
+
     Returns (curve, best_shares, best_value) where ``curve`` is a list of
-    (shares tuple, metric value, per-thread IPCs).  Used by the OFF-LINE
-    learner and by the synchronized comparisons that replay OFF-LINE's
-    search from another policy's machine state (Figure 12).
+    (shares tuple, metric value, per-thread IPCs) in grid order, and the
+    best is the first maximum.  Used by the OFF-LINE learner and by the
+    synchronized comparisons that replay OFF-LINE's search from another
+    policy's machine state (Figure 12).
     """
-    probe = checkpoint.materialize()
-    config = probe.config
-    num_threads = probe.num_threads
+    config = proc.config
+    grid = [tuple(shares) for shares in share_grid(
+        proc.num_threads, config.rename_int, config.min_partition, stride)]
+    if runner is None:
+        runner = TrialRunner(jobs)
+    with runner:
+        outcomes = runner.run(checkpoint, grid, epoch_size)
     curve = []
     best_shares = None
     best_value = None
-    for shares in share_grid(num_threads, config.rename_int,
-                             config.min_partition, stride):
-        trial = checkpoint.materialize()
-        trial.partitions.set_shares(shares)
-        before = trial.stats.copy()
-        trial.run(epoch_size)
-        committed, cycles = trial.stats.delta_since(before)
+    for shares, (committed, cycles) in zip(grid, outcomes):
         ipcs = [count / max(cycles, 1) for count in committed]
         value = metric.value(ipcs, single_ipcs) if metric.needs_single_ipc \
             else metric.value(ipcs)
-        curve.append((tuple(shares), value, ipcs))
+        curve.append((shares, value, ipcs))
         if best_value is None or value > best_value:
             best_value = value
-            best_shares = tuple(shares)
+            best_shares = shares
     return curve, best_shares, best_value
 
 
@@ -89,9 +96,13 @@ class OfflineExhaustiveLearner:
         Stand-alone IPCs for the weighted metrics, known a priori off-line.
     stride:
         Grid stride over the integer-rename shares.
+    jobs:
+        Trial worker processes (see :mod:`repro.core.trials`); ``None``
+        uses the usable CPUs.  Results do not depend on it.
     """
 
-    def __init__(self, proc, epoch_size, metric=None, single_ipcs=None, stride=16):
+    def __init__(self, proc, epoch_size, metric=None, single_ipcs=None,
+                 stride=16, jobs=None):
         self.proc = proc
         self.epoch_size = epoch_size
         self.metric = metric if metric is not None else WeightedIPC()
@@ -100,13 +111,15 @@ class OfflineExhaustiveLearner:
         self.epoch_id = 0
         self.epochs = []
         self._start_stats = proc.stats.copy()
+        #: Runs the trial epochs; one pool serves a whole :meth:`run`.
+        self.trials = TrialRunner(jobs)
 
     def run_epoch(self):
         """Exhaustively search this epoch, then advance with the winner."""
         checkpoint = Checkpoint(self.proc)
         curve, best_shares, best_value = exhaustive_curve(
-            checkpoint, self.epoch_size, self.metric, self.single_ipcs,
-            self.stride,
+            self.proc, checkpoint, self.epoch_size, self.metric,
+            self.single_ipcs, self.stride, runner=self.trials,
         )
         # Advance the real machine under the best partitioning; only this
         # execution is charged.
@@ -134,7 +147,8 @@ class OfflineExhaustiveLearner:
         return epoch
 
     def run(self, num_epochs):
-        return [self.run_epoch() for __ in range(num_epochs)]
+        with self.trials:
+            return [self.run_epoch() for __ in range(num_epochs)]
 
     def overall_ipcs(self):
         """Whole-run per-thread IPCs over the committed (charged) epochs."""

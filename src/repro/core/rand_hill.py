@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from repro.core.controller import EpochResult
 from repro.core.metrics import WeightedIPC
 from repro.core.partition import clamp_shares, shift_shares
+from repro.core.trials import TrialRunner
 from repro.pipeline.checkpoint import Checkpoint
 
 
@@ -30,10 +31,16 @@ class RandHillEpoch:
 
 
 class RandHillLearner:
-    """Multi-start hill-climbing over each epoch via checkpoints."""
+    """Multi-start hill-climbing over each epoch via checkpoints.
+
+    Each climbing round's favoured shifts run as one trial batch through
+    :attr:`trials` (``jobs`` worker processes, see
+    :mod:`repro.core.trials`); the search itself stays in this process,
+    so results do not depend on ``jobs``.
+    """
 
     def __init__(self, proc, epoch_size, metric=None, single_ipcs=None,
-                 delta=4, budget=128, seed=0):
+                 delta=4, budget=128, seed=0, jobs=None):
         if budget <= 0:
             raise ValueError("budget must be positive")
         self.proc = proc
@@ -46,13 +53,11 @@ class RandHillLearner:
         self.epoch_id = 0
         self.epochs = []
         self._start_stats = proc.stats.copy()
+        #: Runs the trial epochs; one pool serves a whole :meth:`run`.
+        self.trials = TrialRunner(jobs)
 
-    def _evaluate(self, checkpoint, shares):
-        trial = checkpoint.materialize()
-        trial.partitions.set_shares(shares)
-        before = trial.stats.copy()
-        trial.run(self.epoch_size)
-        committed, cycles = trial.stats.delta_since(before)
+    def _evaluate(self, committed, cycles):
+        """Metric value of one trial's outcome."""
         ipcs = [count / max(cycles, 1) for count in committed]
         if self.metric.needs_single_ipc:
             return self.metric.value(ipcs, self.single_ipcs)
@@ -63,16 +68,9 @@ class RandHillLearner:
         scale = total / max(1, sum(raw))
         return clamp_shares([share * scale for share in raw], total, minimum)
 
-    def run_epoch(self):
-        """Search the current epoch with a ``budget``-trial multi-start hill
-        climb, then advance with the best partitioning found."""
-        proc = self.proc
-        config = proc.config
-        num = proc.num_threads
-        total = config.rename_int
-        minimum = config.min_partition
-        checkpoint = Checkpoint(proc)
-
+    def _search(self, checkpoint, num, total, minimum):
+        """The ``budget``-trial multi-start climb over one epoch; returns
+        (best shares, best value, trials used, passes)."""
         remaining = self.budget
         passes = 0
         best_shares = None
@@ -82,28 +80,42 @@ class RandHillLearner:
             anchor = self._random_anchor(num, total, minimum)
             previous_round_best = None
             while remaining > 0:
+                # One batch per round: the favoured shifts depend only on
+                # the anchor, never on each other's outcomes.
+                batch = [shift_shares(anchor, favored, self.delta, total,
+                                      minimum)
+                         for favored in range(min(num, remaining))]
+                outcomes = self.trials.run(checkpoint, batch, self.epoch_size)
+                remaining -= len(batch)
                 round_best_value = None
                 round_best_thread = None
-                for favored in range(num):
-                    if remaining == 0:
-                        break
-                    trial = shift_shares(anchor, favored, self.delta, total, minimum)
-                    value = self._evaluate(checkpoint, trial)
-                    remaining -= 1
+                for favored, (trial, outcome) in enumerate(zip(batch,
+                                                               outcomes)):
+                    value = self._evaluate(*outcome)
                     if best_value is None or value > best_value:
                         best_value = value
                         best_shares = tuple(trial)
                     if round_best_value is None or value > round_best_value:
                         round_best_value = value
                         round_best_thread = favored
-                if round_best_value is None:
-                    break
                 if previous_round_best is not None and \
                         round_best_value <= previous_round_best:
                     break  # peak reached: start a new pass
                 previous_round_best = round_best_value
                 anchor = shift_shares(anchor, round_best_thread, self.delta,
                                       total, minimum)
+        return best_shares, best_value, self.budget - remaining, passes
+
+    def run_epoch(self):
+        """Search the current epoch with a ``budget``-trial multi-start hill
+        climb, then advance with the best partitioning found."""
+        proc = self.proc
+        config = proc.config
+        checkpoint = Checkpoint(proc)
+        with self.trials:
+            best_shares, best_value, trials, passes = self._search(
+                checkpoint, proc.num_threads, config.rename_int,
+                config.min_partition)
 
         self.proc = checkpoint.materialize()
         self.proc.partitions.set_shares(list(best_shares))
@@ -121,7 +133,7 @@ class RandHillLearner:
             epoch_id=self.epoch_id,
             best_shares=best_shares,
             best_value=best_value,
-            trials=self.budget - remaining,
+            trials=trials,
             passes=passes,
             result=result,
         )
@@ -130,7 +142,8 @@ class RandHillLearner:
         return epoch
 
     def run(self, num_epochs):
-        return [self.run_epoch() for __ in range(num_epochs)]
+        with self.trials:
+            return [self.run_epoch() for __ in range(num_epochs)]
 
     def overall_ipcs(self):
         """Whole-run per-thread IPCs over the committed epochs."""

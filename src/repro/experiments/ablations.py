@@ -25,14 +25,14 @@ def _hill_point(workload_name, scale, kwargs):
     return result.weighted_ipc
 
 
-def _offline_point(workload_name, scale, stride):
+def _offline_point(workload_name, scale, stride, trial_jobs):
     """One OFF-LINE ablation point (top-level for the process pool)."""
     from repro.experiments.figures import run_offline
 
     workload = get_workload(workload_name)
     metric = WeightedIPC()
     learner = run_offline(workload, scale.with_overrides(stride=stride),
-                          metric)
+                          metric, jobs=trial_jobs)
     singles = solo_ipcs(workload, scale)
     return metric.value(learner.overall_ipcs(), singles)
 
@@ -83,7 +83,12 @@ def software_cost_sweep(workload, scale, costs=(0, 200, 1000, 5000),
 
 
 def offline_stride_sweep(workload, scale, strides=(32, 16, 8), jobs=None):
-    """OFF-LINE weighted IPC vs search stride (finer = closer to ideal)."""
-    tasks = [(workload.name, scale, stride) for stride in strides]
+    """OFF-LINE weighted IPC vs search stride (finer = closer to ideal).
+
+    The points fan out over ``jobs`` processes, or else each point's
+    trial epochs use the usable CPUs — never both at once.
+    """
+    trial_jobs = 1 if jobs and jobs > 1 else None
+    tasks = [(workload.name, scale, stride, trial_jobs) for stride in strides]
     values = pool_map(_offline_point, tasks, jobs=jobs)
     return list(zip(strides, values))

@@ -50,28 +50,30 @@ def _hill_factory(metric=None, scale=None):
     return factory
 
 
-def run_offline(workload, scale, metric=None, epochs=None):
+def run_offline(workload, scale, metric=None, epochs=None, jobs=None):
     """Run the OFF-LINE learner end to end; returns (learner, RunResult-like
-    weighted value helpers)."""
+    weighted value helpers).  ``jobs``: trial worker processes (see
+    :mod:`repro.core.trials`)."""
     metric = metric or WeightedIPC()
     singles = solo_ipcs(workload, scale) if metric.needs_single_ipc else None
     proc = make_processor(workload, StaticPartitionPolicy(), scale)
     learner = OfflineExhaustiveLearner(
         proc, scale.epoch_size, metric=metric, single_ipcs=singles,
-        stride=scale.stride,
+        stride=scale.stride, jobs=jobs,
     )
     learner.run(epochs if epochs is not None else scale.epochs)
     return learner
 
 
-def run_rand_hill(workload, scale, metric=None, epochs=None):
-    """Run the RAND-HILL learner end to end."""
+def run_rand_hill(workload, scale, metric=None, epochs=None, jobs=None):
+    """Run the RAND-HILL learner end to end.  ``jobs``: trial worker
+    processes (see :mod:`repro.core.trials`)."""
     metric = metric or WeightedIPC()
     singles = solo_ipcs(workload, scale) if metric.needs_single_ipc else None
     proc = make_processor(workload, StaticPartitionPolicy(), scale)
     learner = RandHillLearner(
         proc, scale.epoch_size, metric=metric, single_ipcs=singles,
-        budget=scale.rand_hill_budget, seed=scale.seed,
+        budget=scale.rand_hill_budget, seed=scale.seed, jobs=jobs,
     )
     learner.run(epochs if epochs is not None else scale.epochs)
     return learner

@@ -16,6 +16,7 @@ from repro.core.offline import (
     OfflineExhaustiveLearner,
     exhaustive_curve,
 )
+from repro.core.trials import TrialRunner
 from repro.pipeline.checkpoint import Checkpoint
 from repro.policies.static_partition import StaticPartitionPolicy
 
@@ -54,7 +55,8 @@ def _epoch_metric(proc, epoch_size, metric, single_ipcs):
 
 
 def synchronized_timeline(workload, policy_factories, scale, metric=None,
-                          single_ipcs=None, epochs=None, learner=None):
+                          single_ipcs=None, epochs=None, learner=None,
+                          jobs=None):
     """Run OFF-LINE as the reference and replay each epoch under every
     comparison policy from the shared checkpoint.
 
@@ -71,7 +73,10 @@ def synchronized_timeline(workload, policy_factories, scale, metric=None,
         IPCs computed on demand).
     learner:
         Optionally a pre-built learner (e.g. RAND-HILL) used as the
-        reference in place of OFF-LINE.
+        reference in place of OFF-LINE; its own trial runner is used.
+    jobs:
+        Trial worker processes of the default OFF-LINE reference (see
+        :mod:`repro.core.trials`).  One pool serves the whole call.
     """
     from repro.experiments.runner import make_processor, solo_ipcs as solo
 
@@ -82,29 +87,31 @@ def synchronized_timeline(workload, policy_factories, scale, metric=None,
         proc = make_processor(workload, StaticPartitionPolicy(), scale)
         learner = OfflineExhaustiveLearner(
             proc, scale.epoch_size, metric=metric,
-            single_ipcs=single_ipcs, stride=scale.stride,
+            single_ipcs=single_ipcs, stride=scale.stride, jobs=jobs,
         )
     epochs = epochs if epochs is not None else scale.epochs
     series = {name: [] for name in policy_factories}
     series["OFF-LINE"] = []
     offline_epochs = []
-    for __ in range(epochs):
-        checkpoint = Checkpoint(learner.proc)
-        for name, factory in policy_factories.items():
-            trial = checkpoint.materialize()
-            policy = factory()
-            trial.policy = policy
-            policy.attach(trial)
-            series[name].append(
-                _epoch_metric(trial, scale.epoch_size, metric, single_ipcs)
-            )
-        epoch = learner.run_epoch()
-        offline_epochs.append(epoch)
-        ipcs = epoch.result.ipcs
-        if metric.needs_single_ipc:
-            series["OFF-LINE"].append(metric.value(ipcs, single_ipcs))
-        else:
-            series["OFF-LINE"].append(metric.value(ipcs))
+    with learner.trials:
+        for __ in range(epochs):
+            checkpoint = Checkpoint(learner.proc)
+            for name, factory in policy_factories.items():
+                trial = checkpoint.materialize()
+                policy = factory()
+                trial.policy = policy
+                policy.attach(trial)
+                series[name].append(
+                    _epoch_metric(trial, scale.epoch_size, metric,
+                                  single_ipcs)
+                )
+            epoch = learner.run_epoch()
+            offline_epochs.append(epoch)
+            ipcs = epoch.result.ipcs
+            if metric.needs_single_ipc:
+                series["OFF-LINE"].append(metric.value(ipcs, single_ipcs))
+            else:
+                series["OFF-LINE"].append(metric.value(ipcs))
     return SyncTimeline(
         workload=workload.name,
         series=series,
@@ -114,7 +121,7 @@ def synchronized_timeline(workload, policy_factories, scale, metric=None,
 
 def policy_synchronized_timeline(workload, policy_factory, scale,
                                  metric=None, single_ipcs=None, epochs=None,
-                                 policy_name="HILL"):
+                                 policy_name="HILL", jobs=None):
     """Synchronize OFF-LINE *to a continuously running policy* (the
     Figure 12 methodology: "we synchronize OFF-LINE to HILL-WIPC").
 
@@ -126,7 +133,9 @@ def policy_synchronized_timeline(workload, policy_factory, scale,
 
     Returns a :class:`SyncTimeline` whose ``offline_epochs`` carry the
     curves, plus a ``policy_shares`` list (the policy's first-thread share
-    per epoch) stored on the timeline as an attribute.
+    per epoch) stored on the timeline as an attribute.  The sweeps' trial
+    epochs run on ``jobs`` worker processes (see
+    :mod:`repro.core.trials`), one pool for the whole call.
     """
     from repro.experiments.runner import make_processor, solo_ipcs as solo
 
@@ -139,28 +148,31 @@ def policy_synchronized_timeline(workload, policy_factory, scale,
     series = {policy_name: [], "OFF-LINE": []}
     offline_epochs = []
     policy_shares = []
-    for epoch_id in range(epochs):
-        checkpoint = Checkpoint(controller.proc)
-        curve, best_shares, best_value = exhaustive_curve(
-            checkpoint, scale.epoch_size, metric, single_ipcs, scale.stride,
-        )
-        offline_epochs.append(OfflineEpoch(
-            epoch_id=epoch_id,
-            curve=curve,
-            best_shares=best_shares,
-            best_value=best_value,
-            result=EpochResult(epoch_id=epoch_id, kind="normal",
-                               committed=[0] * proc.num_threads, cycles=1,
-                               shares=list(best_shares)),
-        ))
-        series["OFF-LINE"].append(best_value)
-        shares = controller.proc.partitions.shares
-        policy_shares.append(shares[0] if shares else None)
-        result = controller.run_epoch()
-        if metric.needs_single_ipc:
-            series[policy_name].append(metric.value(result.ipcs, single_ipcs))
-        else:
-            series[policy_name].append(metric.value(result.ipcs))
+    with TrialRunner(jobs) as runner:
+        for epoch_id in range(epochs):
+            checkpoint = Checkpoint(controller.proc)
+            curve, best_shares, best_value = exhaustive_curve(
+                controller.proc, checkpoint, scale.epoch_size, metric,
+                single_ipcs, scale.stride, runner=runner,
+            )
+            offline_epochs.append(OfflineEpoch(
+                epoch_id=epoch_id,
+                curve=curve,
+                best_shares=best_shares,
+                best_value=best_value,
+                result=EpochResult(epoch_id=epoch_id, kind="normal",
+                                   committed=[0] * proc.num_threads,
+                                   cycles=1, shares=list(best_shares)),
+            ))
+            series["OFF-LINE"].append(best_value)
+            shares = controller.proc.partitions.shares
+            policy_shares.append(shares[0] if shares else None)
+            result = controller.run_epoch()
+            if metric.needs_single_ipc:
+                series[policy_name].append(
+                    metric.value(result.ipcs, single_ipcs))
+            else:
+                series[policy_name].append(metric.value(result.ipcs))
     return SyncTimeline(
         workload=workload.name,
         series=series,
