@@ -1,6 +1,6 @@
 """Static analysis over the ``repro`` package itself (``repro lint``).
 
-Five AST/import-graph passes keep the reproduction trustworthy at
+Four AST/import-graph passes keep the reproduction trustworthy at
 production scale (docs/ANALYSIS.md has the rule catalogue):
 
 * :mod:`~repro.analysis.lint.fingerprints` — proves the sweep cache's
@@ -16,9 +16,6 @@ production scale (docs/ANALYSIS.md has the rule catalogue):
   service tier, over the :mod:`~repro.analysis.lint.callgraph` layer:
   blocking calls reachable from coroutines, fire-and-forget tasks,
   torn critical sections (AS301–AS304).
-* :mod:`~repro.analysis.lint.mirrors` — cross-checks the batched
-  lane's declarative SoA mirror table against the scalar pipeline
-  modules: coverage, refresh, read-only discipline (MC401–MC406).
 
 Nothing in this package ever imports or executes the code it analyses —
 everything is stdlib ``ast`` over source text — and the whole package is

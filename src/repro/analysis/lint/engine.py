@@ -1,11 +1,10 @@
-"""``repro lint`` orchestration: bind the five static-analysis passes
+"""``repro lint`` orchestration: bind the four static-analysis passes
 to the real ``repro`` package and render findings.
 
 * fingerprint coverage auditor  (FP1xx codes — :mod:`.fingerprints`)
 * determinism linter            (ND1xx codes — :mod:`.determinism`)
 * policy-contract checker       (PC2xx codes — :mod:`.contracts`)
 * async-safety pass             (AS3xx codes — :mod:`.asyncsafety`)
-* mirror-coverage pass          (MC4xx codes — :mod:`.mirrors`)
 
 The determinism scope is derived, not hand-picked: every file any
 family's fingerprint hashes (closures plus explicit source entries) must
@@ -32,7 +31,6 @@ from repro.analysis.lint import (
     contracts,
     determinism,
     fingerprints,
-    mirrors,
 )
 from repro.analysis.lint.findings import RULES, Finding, rule_doc
 from repro.analysis.lint.importgraph import ImportGraph, build_graph
@@ -70,11 +68,6 @@ SERVICE_RESULT_PATH = (
     "service/server.py",
     "service/worker.py",
 )
-
-#: The batched SoA module and the scalar modules its mirrors shadow.
-MIRROR_MODULE = "pipeline/batched.py"
-MIRROR_SCALAR_SOURCES = ("pipeline/processor.py", "pipeline/resources.py",
-                         "pipeline/fastpath.py")
 
 #: Version of the ``--format json`` payload shape.  Bump on any
 #: breaking change to the top-level keys or the finding dict.
@@ -143,18 +136,11 @@ def _async_pass(root: str, graph: ImportGraph) -> list[Finding]:
     return asyncsafety.scan_tree(root, rels)
 
 
-def _mirror_pass(root: str, graph: ImportGraph) -> list[Finding]:
-    if MIRROR_MODULE not in graph.files:
-        return []
-    return mirrors.check_module(root, MIRROR_MODULE, MIRROR_SCALAR_SOURCES)
-
-
 PASSES: dict[str, Callable[[str, ImportGraph], list[Finding]]] = {
     "fingerprints": _fingerprint_pass,
     "determinism": _determinism_pass,
     "contracts": _contract_pass,
     "async": _async_pass,
-    "mirrors": _mirror_pass,
 }
 
 
@@ -177,7 +163,7 @@ def filter_findings(findings: list[Finding],
 def run_repo_lint(select: tuple[str, ...] = (),
                   ignore: tuple[str, ...] = (),
                   root: str | None = None) -> list[Finding]:
-    """All five passes over the installed ``repro`` package."""
+    """All four passes over the installed ``repro`` package."""
     root = root if root is not None else package_root()
     graph = build_graph(root, "repro")
     findings: list[Finding] = []

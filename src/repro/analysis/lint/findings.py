@@ -266,58 +266,6 @@ _RULE_LIST = (
         "Follow the bracket with one line of why.  This rule cannot "
         "itself be waived.",
     ),
-    Rule(
-        "MC401", "mirror-undeclared",
-        "a SoA array is allocated without a mirror declaration",
-        "Every structure-of-arrays array the batched core allocates must "
-        "declare the scalar field(s) it shadows with `# repro: "
-        "mirror[_attr <- Class.field]` on the allocation line.  An "
-        "undeclared array is invisible to the cross-check, so nothing "
-        "would catch its refresh going stale.",
-    ),
-    Rule(
-        "MC402", "mirror-unknown-source",
-        "a mirror declaration cites a scalar field that does not exist",
-        "The declared source `Class.field` was not found in the scalar "
-        "source modules (pipeline/processor.py, pipeline/resources.py).  "
-        "This is the drift catcher: rename or remove a scalar field the "
-        "screen depends on and this fires on the stale declaration, "
-        "forcing the batched refresh to be revisited in the same change.",
-    ),
-    Rule(
-        "MC403", "mirror-not-refreshed",
-        "a declared mirror is never written by the refresh method",
-        "The `# repro: mirror-refresh` method must store every declared "
-        "mirror each round; one it never writes keeps its construction "
-        "value forever, so the vectorized screen reads permanently stale "
-        "state for that column.",
-    ),
-    Rule(
-        "MC404", "mirror-write-outside-refresh",
-        "a mirror array is written outside the refresh method",
-        "Mirrors are read-only copies of scalar state: the byte-identity "
-        "argument (docs/INTERNALS.md §1c) is that scheduling reads "
-        "mirrors but only the scalar machine is authoritative.  Any "
-        "store outside `__init__` and the refresh method makes the "
-        "mirror a second source of truth that can diverge.",
-    ),
-    Rule(
-        "MC405", "mirror-dangling-declaration",
-        "a mirror declaration names an array that is never allocated",
-        "The declaration cites a SoA attribute `__init__` does not "
-        "allocate — usually a leftover after a mirror was removed or "
-        "renamed.  Stale declarations rot the table's value as "
-        "documentation, so they are errors, not warnings.",
-    ),
-    Rule(
-        "MC406", "mirror-refresh-marker",
-        "the mirror class has no unique `# repro: mirror-refresh` method",
-        "Refresh coverage (MC403) and write containment (MC404) are "
-        "defined relative to one sanctioned writer.  A class that "
-        "declares mirrors must mark exactly one method with `# repro: "
-        "mirror-refresh` on its `def` line; zero or several markers "
-        "make the contract unverifiable.",
-    ),
 )
 
 RULES: dict[str, Rule] = {rule.code: rule for rule in _RULE_LIST}

@@ -61,11 +61,6 @@ from repro.experiments.runner import (
     solo_ipc,
 )
 from repro.policies import BASELINE_POLICIES  # repro: allow-reexport[FP005] (registry lookup; per-family sources hash the defining modules)
-from repro.reliability.packsup import (
-    PackSupervisor,
-    audit_mode,
-    validate_batch_cells,
-)
 from repro.reliability.supervisor import (
     SWEEP_EVENTS,
     CellBootstrapError,
@@ -225,12 +220,9 @@ _FAMILY_ENTRIES = {
 #: additionally depends on the import-graph builder itself.
 _CORE_SOURCES = (
     # Directory entries hash every .py under them, so the run-loop core
-    # modules (pipeline/fastpath.py, pipeline/profile.py and the batched
-    # lane's pipeline/batched.py) are covered by "pipeline" — editing any
-    # core invalidates every cell, exactly as editing the reference loop
-    # does.  The pack layer rides along explicitly: cache keys stay
-    # core-agnostic only because every core is proven byte-identical, so
-    # editing the pack layer must invalidate like editing a core.
+    # modules (pipeline/fastpath.py, pipeline/profile.py) are covered by
+    # "pipeline" — editing the fast core invalidates every cell, exactly
+    # as editing the reference loop does.
     "pipeline", "memory", "branch", "workloads",
     "__init__.py", "core/__init__.py", "experiments/__init__.py",
     "policies/__init__.py", "reliability/__init__.py",
@@ -239,9 +231,9 @@ _CORE_SOURCES = (
     "core/controller.py", "core/metrics.py",
     "policies/base.py", "policies/icount.py",
     "experiments/runner.py", "experiments/parallel.py",
-    "experiments/batchrun.py", "experiments/export.py",
+    "experiments/export.py",
     "reliability/guard.py", "reliability/invariants.py",
-    "reliability/supervisor.py", "reliability/packsup.py",
+    "reliability/supervisor.py",
 )
 
 #: Extra sources per policy family; editing one of these invalidates only
@@ -789,33 +781,6 @@ def _validate_task_value(task, value):
         _validate_simulated(task, value)
 
 
-def _execute_pack_supervised(cells, scale, resume_dir, pack_heartbeat,
-                             cell_heartbeats, attempt, fault_plan, audit):
-    """Supervised pack worker (runs inside the pack supervisor's worker
-    process): one lockstep pack with per-cell checkpoints under
-    ``resume_dir``, pack/cell heartbeats, chaos hooks and the optional
-    runtime mirror audit.  Returns one ``(RunResult, False)`` per cell
-    in pack order, with ``None`` for audit-evicted slots — the same
-    per-cell payload shape as :func:`_execute_cell` (packed cells are
-    never resumed; cells with a checkpoint take the per-cell path)."""
-    from repro.experiments.batchrun import run_pack
-
-    run_dirs = None
-    if resume_dir is not None:
-        from repro.reliability.guard import run_slug
-
-        run_dirs = [os.path.join(resume_dir,
-                                 run_slug(cell.workload, cell.policy,
-                                          cell.seed))
-                    for cell in cells]
-    results = run_pack(cells, scale, attempt=attempt, fault_plan=fault_plan,
-                       audit=audit, run_dirs=run_dirs,
-                       heartbeat=pack_heartbeat,
-                       cell_heartbeats=cell_heartbeats)
-    return [None if result is None else (result, False)
-            for result in results]
-
-
 def pool_map(fn, tasks, jobs=None):
     """Order-preserving map over argument tuples, optionally fanned out
     over a process pool (``jobs`` <= 1: plain serial calls, no pool).
@@ -850,10 +815,11 @@ class _SoloJoin:
     (``done``/``total``/``eta_s``) count cells only.
     """
 
-    def __init__(self, engine, cells, counters, cached, total, started_at):
+    def __init__(self, engine, cells, cached, total, started_at):
         self.engine = engine
         self.cells = list(cells)
-        self.counters = counters
+        self.done = cached   # cells finished, cached ones included
+        self.live = 0        # cells finished by this run
         self.cached = cached
         self.total = total
         self.started_at = started_at
@@ -874,8 +840,8 @@ class _SoloJoin:
 
     def _progress(self, running):
         return self.engine._progress(
-            self.counters["done"], self.cached, running, self.total,
-            self.started_at, self.counters["live"])
+            self.done, self.cached, running, self.total, self.started_at,
+            self.live)
 
     def start(self, task, running, **fields):
         if isinstance(task, SoloTask):
@@ -907,8 +873,8 @@ class _SoloJoin:
                               for task in self.needs[cell]]
         _validate_cell_value(cell, value)
         engine._store(cell, result, resumed)
-        self.counters["done"] += 1
-        self.counters["live"] += 1
+        self.done += 1
+        self.live += 1
         engine._emit("cell-done", cell=cell.label, resumed=resumed,
                      **self._progress(running))
 
@@ -931,9 +897,7 @@ class SweepEngine:
     (:func:`_execute_solo`).  Cell workers only simulate; the parent
     attaches a cell's solos once they have all landed, then validates,
     caches and reports the cell.  Tasks dispatch in the order: the first
-    ``jobs`` pending cells, the missing solos, the remaining cells.  The
-    batched lane (``batch_cells > 1``) keeps sharing solos inside each
-    pack instead.
+    ``jobs`` pending cells, the missing solos, the remaining cells.
 
     Parameters
     ----------
@@ -964,38 +928,13 @@ class SweepEngine:
     fault_plan:
         Optional picklable chaos plan (:mod:`repro.reliability.chaos`)
         whose hooks perturb supervised workers; test/bench-only.
-    batch_cells:
-        With ``batch_cells > 1`` pending cells run through the batched
-        core lane (:mod:`repro.experiments.batchrun`): packs of up to
-        ``batch_cells`` cells simulate in lockstep inside one process,
-        sharing replay tapes and SingleIPC runs.  Results and cache
-        entries stay byte-identical to per-cell execution (cache keys
-        are core-agnostic).  Combined with ``supervision`` the packs
-        run under the :class:`~repro.reliability.packsup.PackSupervisor`
-        — pack heartbeats, deterministic bisection of failed packs,
-        eviction to the scalar lane, quarantine — and with
-        ``resume_dir`` every packed cell checkpoints per epoch, so a
-        killed batched sweep resumes exactly like a per-cell one
-        (docs/RELIABILITY.md "Batched-lane supervision").  Cells with an
-        existing checkpoint resume on the per-cell path; packs always
-        start cells from epoch 0.
-    audit_mirrors:
-        Opt-in runtime audit of the batched lane
-        (``REPRO_AUDIT=mirror`` sets it too): cross-check the BatchCore
-        SoA mirrors against scalar processor state at every epoch
-        boundary and evict divergent cells to the scalar lane — the
-        dynamic counterpart of lint's MC4xx pass.  A clean run audits
-        to zero divergences and changes no stats, checkpoints or cache
-        keys.
     """
 
     def __init__(self, scale, jobs=1, cache_dir=None, events_path=None,
                  on_event=None, resume_dir=None, use_cache=True,
-                 supervision=None, fault_plan=None, batch_cells=1,
-                 audit_mirrors=False):
+                 supervision=None, fault_plan=None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        validate_batch_cells(batch_cells)
         if fault_plan is not None and supervision is None:
             raise ValueError("fault_plan requires supervision")
         self.scale = scale
@@ -1011,17 +950,12 @@ class SweepEngine:
         self.resume_dir = resume_dir
         self.supervision = supervision
         self.fault_plan = fault_plan
-        self.batch_cells = batch_cells
-        self.audit_mirrors = bool(audit_mirrors)
-        if batch_cells > 1 and not self.audit_mirrors:
-            self.audit_mirrors = audit_mode() == "mirror"
         self.stats = {"hits": 0, "misses": 0, "resumed": 0}
         self.solo_stats = {"hits": 0, "misses": 0}
         self.quarantined = {}
         self.quarantined_solos = {}
         self.supervisor_stats = {"retries": 0, "timeouts": 0,
-                                 "pool_breaks": 0, "degraded": False,
-                                 "bisections": 0, "evicted": 0}
+                                 "pool_breaks": 0, "degraded": False}
         self._memory = {}
         self._solos = {}
         self._work_dir = None
@@ -1099,14 +1033,7 @@ class SweepEngine:
         if pending:
             # An empty pending list short-circuits to a pure-cache merge:
             # no pool, no supervisor, no max_workers=0 to trip over.
-            if self.supervision is not None and self.batch_cells > 1:
-                self._run_batched_supervised(pending, cached, len(unique),
-                                             started_at)
-            elif self.batch_cells > 1:
-                self._run_batched(pending, cached, len(unique), started_at)
-            else:
-                self._run_planned(pending, {"done": cached, "live": 0},
-                                  cached, len(unique), started_at)
+            self._run_planned(pending, cached, len(unique), started_at)
         self._emit("sweep-done", total=len(unique), cached=cached,
                    simulated=len(pending),
                    quarantined=len([cell for cell in pending
@@ -1150,15 +1077,14 @@ class SweepEngine:
             return (_execute_solo, task, self.scale)
         return (_execute_cell, task, self.scale, self.resume_dir)
 
-    def _run_planned(self, pending, counters, cached, total, started_at,
-                     carried=None):
+    def _run_planned(self, pending, cached, total, started_at):
         """Run pending cells plus their missing solos (see the class
         docstring) in-process (``jobs=1``), over the process pool, or
         under the cell supervisor."""
-        join = _SoloJoin(self, pending, counters, cached, total, started_at)
+        join = _SoloJoin(self, pending, cached, total, started_at)
         tasks = join.schedule(self.jobs)
         if self.supervision is not None:
-            self._run_supervised(tasks, join, carried)
+            self._run_supervised(tasks, join)
         elif self.jobs == 1:
             for task in tasks:
                 join.start(task, running=1)
@@ -1178,68 +1104,6 @@ class SweepEngine:
                     for future in finished:
                         join.land(futures[future], future.result(),
                                   running=len(outstanding))
-
-    def _run_batched(self, pending, cached, total, started_at):
-        """Fan pending cells out as lockstep packs (batched core lane).
-
-        Packs run serially in-process with ``jobs=1`` and over the
-        process pool otherwise — one pack per pool task, results merged
-        in request order like every other path.  Event-stream consumers
-        see the same cell lifecycle as per-cell execution; all cells of
-        one pack start together.  Under the runtime mirror audit an
-        evicted cell (``None`` payload slot) finishes on the scalar
-        lane in-process, byte-identically.
-        """
-        from repro.experiments.batchrun import _execute_pack, pack_cells
-
-        packs = pack_cells(pending, self.batch_cells)
-        done = cached
-        finished_live = 0
-
-        def land(pack, payload):
-            nonlocal done, finished_live
-            for cell, slot in zip(pack, payload):
-                if slot is None:
-                    self.supervisor_stats["evicted"] += 1
-                    self._emit("cell-evicted", cell=cell.label,
-                               reason="mirror-divergence")
-                    slot = _execute_cell(cell, self.scale, None)
-                    _attach_cell_solos(cell, self.scale, slot[0])
-                result, resumed = slot
-                self._store(cell, result, resumed)
-                done += 1
-                finished_live += 1
-                self._emit("cell-done", cell=cell.label, resumed=resumed,
-                           **self._progress(done, cached, 0, total,
-                                            started_at, finished_live))
-
-        if self.jobs <= 1 or len(packs) == 1:
-            for pack in packs:
-                for cell in pack:
-                    self._emit("cell-start", cell=cell.label,
-                               **self._progress(done, cached, len(pack),
-                                                total, started_at,
-                                                finished_live))
-                land(pack, _execute_pack(pack, self.scale,
-                                         audit=self.audit_mirrors))
-            return
-        with ProcessPoolExecutor(max_workers=min(self.jobs,
-                                                 len(packs))) as pool:
-            futures = {}
-            for pack in packs:
-                futures[pool.submit(_execute_pack, pack, self.scale,
-                                    self.audit_mirrors)] = pack
-                for cell in pack:
-                    self._emit("cell-start", cell=cell.label,
-                               **self._progress(done, cached, len(pack),
-                                                total, started_at,
-                                                finished_live))
-            outstanding = set(futures)
-            while outstanding:
-                finished, outstanding = wait(outstanding,
-                                             return_when=FIRST_COMPLETED)
-                for future in finished:
-                    land(futures[future], future.result())
 
     # -- supervised execution --------------------------------------------
 
@@ -1265,34 +1129,6 @@ class SweepEngine:
                 "seed": cell.seed, "key": cache_key(cell, self.scale),
                 "checkpoint": checkpoint}
 
-    def _supervised_hooks(self, cached, total, started_at):
-        """Progress plumbing for the pack stage of the supervised batched
-        path: an event forwarder that decorates ``cell-start`` with
-        progress fields and the store-and-emit completion callback, over
-        a counter state the per-cell leftover stage continues (so the
-        two stages report one continuous sweep)."""
-        counters = {"done": cached, "live": 0}
-
-        def forward(event, **fields):
-            if event == "cell-start":
-                running = fields.pop("running", 0)
-                fields.update(self._progress(
-                    counters["done"], cached, running, total, started_at,
-                    counters["live"]))
-            self._emit(event, **fields)
-
-        def on_result(cell, value, running):
-            result, resumed = value
-            self._store(cell, result, resumed)
-            counters["done"] += 1
-            counters["live"] += 1
-            self._emit("cell-done", cell=cell.label, resumed=resumed,
-                       **self._progress(counters["done"], cached, running,
-                                        total, started_at,
-                                        counters["live"]))
-
-        return counters, forward, on_result
-
     def _merge_supervisor(self, supervisor):
         for item, entry in supervisor.quarantined.items():
             if isinstance(item, SoloTask):
@@ -1304,12 +1140,8 @@ class SweepEngine:
         self.supervisor_stats["timeouts"] += supervisor.timeouts
         self.supervisor_stats["pool_breaks"] += supervisor.pool_breaks
         self.supervisor_stats["degraded"] |= supervisor.degraded
-        self.supervisor_stats["bisections"] += getattr(
-            supervisor, "bisections", 0)
-        self.supervisor_stats["evicted"] += len(getattr(
-            supervisor, "evicted", ()))
 
-    def _run_supervised(self, tasks, join, carried=None):
+    def _run_supervised(self, tasks, join):
         """Run planned cells and solos under one cell supervisor.
 
         Cell events come through with the same progress fields as the
@@ -1319,8 +1151,7 @@ class SweepEngine:
         is reported as ``solo-start`` / ``solo-retry`` /
         ``solo-quarantined`` / ``solo-done`` instead.  Solos heartbeat
         nothing (a solo is one uninterrupted run), so ``cell_timeout``
-        never fires on them.  ``carried`` is a pack supervisor whose
-        deferred cells keep the attempts they were charged in a pack.
+        never fires on them.
         """
         by_label = {task.label: task for task in tasks}
         timeouts = self.supervision.cell_timeout is not None
@@ -1360,12 +1191,6 @@ class SweepEngine:
             ledger=QuarantineLedger(self.quarantine_path),
             ledger_info=self._ledger_info,
             progress=lambda task: not isinstance(task, SoloTask))
-        if carried is not None:
-            supervisor.attempts.update(
-                {cell: carried.attempts[cell] for cell in carried.deferred})
-            supervisor.failures.update(
-                {cell: list(carried.failures[cell])
-                 for cell in carried.deferred})
         supervisor.run(tasks)
         self._merge_supervisor(supervisor)
 
@@ -1387,87 +1212,6 @@ class SweepEngine:
         self.quarantined[cell] = record
         self._emit("cell-quarantined", cell=cell.label,
                    attempts=entry["attempts"], error=error)
-
-    def _pack_heartbeat_file(self, pack):
-        digest = hashlib.sha256(
-            "|".join(cell.label for cell in pack).encode()).hexdigest()
-        return os.path.join(self._work_dir, "heartbeats",
-                            "pack-%s.hb" % digest[:12])
-
-    def _cell_has_checkpoint(self, cell):
-        """Whether a previous (killed) sweep left resumable state for
-        this cell — such cells take the per-cell path, because packs
-        always start cells from epoch 0 and re-running a half-finished
-        cell from scratch would waste its saved epochs."""
-        if self.resume_dir is None:
-            return False
-        from repro.reliability.guard import run_slug
-
-        run_dir = os.path.join(
-            self.resume_dir,
-            run_slug(cell.workload, cell.policy, cell.seed))
-        if not os.path.isdir(run_dir):
-            return False
-        if os.path.exists(os.path.join(run_dir, "result.json")):
-            return True
-        try:
-            names = os.listdir(run_dir)
-        except OSError:
-            return False
-        return any(name.startswith("ckpt_") and name.endswith(".pkl")
-                   for name in names)
-
-    def _run_batched_supervised(self, pending, cached, total, started_at):
-        """Fan pending cells out as *supervised* lockstep packs.
-
-        Fresh cells are packed and run under the
-        :class:`~repro.reliability.packsup.PackSupervisor`: per-pack
-        heartbeats, deterministic bisection of failed packs (so one
-        poisonous cell never takes its neighbors' work), eviction of
-        audit-flagged cells, quarantine of repeat offenders.  Cells a
-        previous sweep already checkpointed, plus whatever the pack
-        stage deferred or evicted, finish under the ordinary cell
-        supervisor with the engine's solo plan — with their in-pack
-        attempt counts carried over, so ``max_attempts`` means the same
-        thing on both lanes.
-        """
-        from repro.experiments.batchrun import pack_cells
-
-        counters, forward, on_result = self._supervised_hooks(
-            cached, total, started_at)
-        fresh, leftovers = [], []
-        for cell in pending:
-            (leftovers if self._cell_has_checkpoint(cell)
-             else fresh).append(cell)
-        pack_sup = None
-        if fresh:
-            heartbeats = self.supervision.cell_timeout is not None
-
-            def pack_args(pack, attempt):
-                return (list(pack), self.scale, self.resume_dir,
-                        self._pack_heartbeat_file(pack) if heartbeats
-                        else None,
-                        [self._heartbeat_file(cell) for cell in pack]
-                        if heartbeats else None,
-                        attempt, self.fault_plan, self.audit_mirrors)
-
-            pack_sup = PackSupervisor(
-                worker=_execute_pack_supervised, pack_args=pack_args,
-                jobs=self.jobs, config=self.supervision,
-                item_key=lambda cell: cell.label,
-                item_label=lambda cell: cell.label,
-                pack_heartbeat=(self._pack_heartbeat_file if heartbeats
-                                else None),
-                validate=_validate_cell_value, on_result=on_result,
-                emit=forward, ledger=QuarantineLedger(self.quarantine_path),
-                ledger_info=self._ledger_info)
-            pack_sup.run(pack_cells(fresh, self.batch_cells))
-            self._merge_supervisor(pack_sup)
-            leftovers.extend(pack_sup.evicted)
-            leftovers.extend(pack_sup.deferred)
-        if leftovers:
-            self._run_planned(leftovers, counters, cached, total,
-                              started_at, carried=pack_sup)
 
     # -- grid conveniences ----------------------------------------------
 

@@ -21,17 +21,11 @@ no-ops and jump straight to the next scheduled event:
   (stats, checkpoints, merged sweep JSON).
 
 Core selection is per :meth:`run` call: the ``REPRO_CORE`` environment
-variable (``fast``, the default, ``reference``, or ``batched``) or a
+variable (``fast``, the default, or ``reference``) or a
 process-local :class:`forced_core` override.  Nothing about the selection
 is stored on the processor, so checkpoints never encode which core
 produced them, and sweep cache keys are unchanged by core selection
 (docs/PARALLEL.md).
-
-``batched`` selects the structure-of-arrays lane
-(:mod:`repro.pipeline.batched`): a *single* processor under it steps
-exactly like the fast core (a batch of one), while sweep-cell packs
-(:mod:`repro.experiments.batchrun`, ``repro sweep --batch-cells N``)
-run many cells in lockstep inside one process — see docs/PERFORMANCE.md.
 
 The correctness argument is spelled out in docs/INTERNALS.md and enforced
 by the differential harness in tests/test_core_equivalence.py.
@@ -42,10 +36,9 @@ import os
 __all__ = ["CORE_MODES", "core_mode", "forced_core", "quiescent_horizon",
            "apply_skip"]
 
-#: Valid core selections: the event-driven fast path (default), the
-#: stage-every-cycle reference loop both other lanes must stay
-#: byte-identical to, and the structure-of-arrays batched lane.
-CORE_MODES = ("fast", "reference", "batched")
+#: Valid core selections: the event-driven fast path (default) and the
+#: stage-every-cycle reference loop it must stay byte-identical to.
+CORE_MODES = ("fast", "reference")
 
 _forced_mode = None
 

@@ -77,9 +77,6 @@ SWEEP_EVENTS = (
     "pool-broken",
     "pool-rebuilt",
     "sweep-degraded",
-    # PackSupervisor containment (batched lane)
-    "pack-bisect",
-    "cell-evicted",
     # SingleIPC solo tasks (never reported as cell-* events)
     "solo-start",
     "solo-done",
@@ -455,15 +452,10 @@ class CellSupervisor:
 
     def run(self, items):
         """Run every item; returns {item: value} for the completed ones
-        (quarantined items are absent — inspect ``quarantined``).
-
-        Pre-seeded ``attempts`` entries survive: the batched lane's
-        :class:`~repro.reliability.packsup.PackSupervisor` hands cells it
-        charged inside a pack to this per-cell path, and their in-pack
-        attempts must keep counting toward ``max_attempts``."""
+        (quarantined items are absent — inspect ``quarantined``)."""
         items = list(items)
         results = {}
-        self.attempts = {item: self.attempts.get(item, 0) for item in items}
+        self.attempts = {item: 0 for item in items}
         if not items:
             return results
         try:

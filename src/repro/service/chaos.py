@@ -196,9 +196,11 @@ def run_service_chaos(preset, scale_name="smoke", keep=False,
                 victim.wait()
             elif preset == "worker-storm":
                 for round_index in range(3):
-                    _wait_for(lambda: client.stats()["leases"] >= 1,
+                    # Wait on the live lease count: the cumulative
+                    # "leases" counter is already >= 1 from round 2 on,
+                    # and the fleet killed after it may hold nothing.
+                    _wait_for(lambda: client.stats()["leased"] >= 1,
                               timeout=30.0)
-                    time.sleep(0.5)
                     say("storm round %d: killing the fleet"
                         % (round_index + 1))
                     for proc in workers:

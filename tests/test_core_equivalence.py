@@ -1,18 +1,13 @@
-"""Differential harness: every run-loop core must be byte-identical to
-the stage-every-cycle reference loop — the event-driven fast core, and
-the batched lane that drives many cells through
-:class:`~repro.pipeline.batched.BatchCore` in lockstep.
+"""Differential harness: the event-driven fast core must be
+byte-identical to the stage-every-cycle reference loop.
 
-Every test runs the same experiment under the cores being compared (via
-:class:`~repro.pipeline.fastpath.forced_core`, or
-:func:`~repro.experiments.batchrun.run_pack` for real multi-cell packs)
-and compares canonical serializations — sorted-key JSON of
-:meth:`RunResult.to_dict` for run stats, full processor pickles for
-checkpoints, ``merged_json`` for sweeps.  Equal strings mean equal
-bytes, which is the cores' entire contract (docs/INTERNALS.md): stats,
-checkpoints and sweep exports may never depend on which core produced
-them, and pack results may never depend on pack composition or lockstep
-budget.
+Every test runs the same experiment under both cores (via
+:class:`~repro.pipeline.fastpath.forced_core`) and compares canonical
+serializations — sorted-key JSON of :meth:`RunResult.to_dict` for run
+stats, full processor pickles for checkpoints, ``merged_json`` for
+sweeps.  Equal strings mean equal bytes, which is the cores' entire
+contract (docs/INTERNALS.md): stats, checkpoints and sweep exports may
+never depend on which core produced them.
 """
 
 import json
@@ -21,15 +16,8 @@ import pickle
 import pytest
 
 from repro.core.controller import EpochController
-from repro.experiments.batchrun import (
-    SharedTape,
-    TapeDeck,
-    pack_cells,
-    run_pack,
-)
 from repro.experiments.parallel import (
     _FAMILY_ENTRIES,
-    SweepCell,
     SweepEngine,
     grid_cells,
     merged_json,
@@ -131,177 +119,6 @@ class TestSweepExportByteIdentical:
             results = engine.run_cells(cells)
             exports[core] = merged_json(cells, results, scale)
         assert len(set(exports.values())) == 1, sorted(exports)
-
-
-class TestBatchedLane:
-    """The pack layer: :func:`run_pack` must be byte-identical to serial
-    :func:`run_policy` runs for every policy family, and its results may
-    never depend on pack composition or lockstep budget."""
-
-    def _serial_blobs(self, cells, scale):
-        clear_solo_cache()
-        blobs = []
-        for cell in cells:
-            seeded = scale if scale.seed == cell.seed \
-                else scale.with_overrides(seed=cell.seed)
-            workload = get_workload(cell.workload)
-            policy = policy_factory(cell.policy, seeded)()
-            result = run_policy(workload, policy, seeded,
-                                epochs=cell.epochs)
-            blobs.append(json.dumps(result.to_dict(), sort_keys=True))
-        return blobs
-
-    def _pack_blobs(self, cells, scale, batch_cells=None, budget=8192):
-        clear_solo_cache()
-        by_id = {}
-        for pack in pack_cells(cells, batch_cells or len(cells)):
-            for cell, result in zip(pack,
-                                    run_pack(pack, scale, budget=budget)):
-                by_id[id(cell)] = json.dumps(result.to_dict(),
-                                             sort_keys=True)
-        return [by_id[id(cell)] for cell in cells]
-
-    def test_every_family_in_one_pack(self, scale):
-        """All eleven registered families in one lockstep pack — a new
-        family cannot land without proving it survives batching."""
-        cells = [SweepCell("art-mcf", family) for family in FAMILIES]
-        assert self._pack_blobs(cells, scale) == \
-            self._serial_blobs(cells, scale)
-
-    def test_mixed_workloads_and_seeds(self, scale):
-        cells = [SweepCell("art-mcf", "ICOUNT", seed=0),
-                 SweepCell("art-twolf", "FLUSH", seed=1),
-                 SweepCell("art-mcf", "DCRA", seed=1),
-                 SweepCell("art-mcf-swim-twolf", "HILL", seed=0),
-                 SweepCell("art-twolf", "ICOUNT", seed=1)]
-        assert self._pack_blobs(cells, scale) == \
-            self._serial_blobs(cells, scale)
-
-    def test_composition_and_budget_invariance(self, scale):
-        """Splitting the pack or shrinking the iteration budget reslices
-        the lockstep, never the simulation."""
-        cells = grid_cells(workloads=["art-mcf", "art-twolf"],
-                           policies=["ICOUNT", "FLUSH", "HILL"])
-        whole = self._pack_blobs(cells, scale)
-        assert self._pack_blobs(cells, scale, batch_cells=2,
-                                budget=33) == whole
-        assert self._pack_blobs(cells, scale, batch_cells=4,
-                                budget=57) == whole
-
-    def test_engine_batched_export_matches_serial(self, scale):
-        cells = grid_cells(workloads=["art-mcf"],
-                           policies=["ICOUNT", "FLUSH", "DCRA"],
-                           seeds=(0, 1))
-        clear_solo_cache()
-        serial = SweepEngine(scale, jobs=1, use_cache=False)
-        serial_export = merged_json(cells, serial.run_cells(cells), scale)
-        clear_solo_cache()
-        batched = SweepEngine(scale, jobs=1, use_cache=False,
-                              batch_cells=4)
-        batched_export = merged_json(cells, batched.run_cells(cells),
-                                     scale)
-        assert batched_export == serial_export
-
-    def test_engine_rejects_invalid_batching(self, scale, tmp_path):
-        from repro.experiments.batchrun import pack_cells
-        from repro.reliability.supervisor import Supervision
-
-        # One message for every bad batch_cells, engine and pack layer
-        # alike (repro.reliability.packsup.validate_batch_cells).
-        for bad in (0, -1, True, 2.0):
-            with pytest.raises(ValueError,
-                               match="batch_cells must be an integer"):
-                SweepEngine(scale, batch_cells=bad)
-            with pytest.raises(ValueError,
-                               match="batch_cells must be an integer"):
-                list(pack_cells([], bad))
-        # The old supervision/resume incompatibilities are gone: packed
-        # sweeps run supervised now.
-        SweepEngine(scale, batch_cells=2, supervision=Supervision())
-        SweepEngine(scale, batch_cells=2,
-                    resume_dir=str(tmp_path / "resume"))
-
-    def test_pack_bootstrap_error(self, scale):
-        from repro.reliability.supervisor import CellBootstrapError
-
-        with pytest.raises(CellBootstrapError, match="WARP"):
-            run_pack([SweepCell("art-mcf", "WARP")], scale)
-
-    def test_shared_tape_replays_and_trims(self):
-        """A tape reader sees exactly the private stream's instructions;
-        trimming drops only what every reader has consumed and replaying
-        past the trim point is an error, not silent corruption."""
-        from repro.workloads.generator import SyntheticStream
-
-        profile = get_workload("art-mcf").profiles[0]
-        tape = SharedTape(profile, thread_id=0, seed=0)
-        lead, lag = tape.attach(), tape.attach()
-        private = SyntheticStream(profile, thread_id=0, seed=0)
-
-        def spec(instr):
-            return (instr.thread, instr.seq, instr.op, instr.is_fp,
-                    instr.srcs, instr.pc, instr.taken, instr.addr)
-
-        for _ in range(100):
-            assert spec(lead.next_instruction()) == \
-                spec(private.next_instruction())
-        tape.trim()
-        assert tape.retained == 100  # lag still pins seq 0
-        for _ in range(40):
-            lag.next_instruction()
-        tape.trim()
-        assert tape.retained == 60
-        with pytest.raises(IndexError):
-            tape.spec(10)
-        tape.release(lead)
-        tape.trim()
-        assert tape.retained == 60  # lag's frontier now rules alone
-
-    def test_numpy_is_optional_for_import(self):
-        """numpy is a hard dependency of *running* the batched lane, not
-        of importing it: the service worker and lint tooling must load
-        on numpy-free hosts, and BatchCore must fail with a clear error
-        rather than an ImportError at an import site."""
-        import subprocess
-        import sys
-
-        script = (
-            "import sys\n"
-            "class _Block:\n"
-            "    def find_module(self, name, path=None):\n"
-            "        if name.split('.')[0] == 'numpy':\n"
-            "            return self\n"
-            "    def load_module(self, name):\n"
-            "        raise ImportError('numpy blocked')\n"
-            "sys.meta_path.insert(0, _Block())\n"
-            "import repro.pipeline.batched as batched\n"
-            "assert not batched.HAVE_NUMPY\n"
-            "import repro.service.worker\n"
-            "import repro.experiments.batchrun\n"
-            "import repro.analysis.lint.fingerprints\n"
-            "try:\n"
-            "    batched.BatchCore([])\n"
-            "except RuntimeError as exc:\n"
-            "    assert 'numpy' in str(exc)\n"
-            "else:\n"
-            "    raise AssertionError('BatchCore built without numpy')\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-
-    def test_tape_deck_shares_by_content_key(self):
-        profile = get_workload("art-mcf").profiles[0]
-        deck = TapeDeck()
-        one = deck.stream(profile, 0, 0)
-        two = deck.stream(profile, 0, 0)
-        other_seed = deck.stream(profile, 0, 1)
-        assert one.tape is two.tape
-        assert other_seed.tape is not one.tape
-        one.next_instruction()
-        assert deck.retained >= 1
-        deck.trim()
-        assert deck.retained >= 1  # `two` still pins seq 0
 
 
 class TestFaultInjectionByteIdentical:

@@ -7,11 +7,18 @@ The supervisor's contract, as tests:
   the ``quarantine.jsonl`` ledger and the sweep *continues*;
 * a fault-free supervised sweep is byte-identical to a plain serial
   one, and so is a sweep whose workers were SIGKILLed mid-cell;
+* a whole ``repro sweep`` process group SIGKILLed mid-cell leaves no
+  process behind and resumes via ``--resume-dir`` to byte-identical
+  merged JSON;
 * every ``repro chaos`` preset converges (the harness's own ``ok``).
 """
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -265,7 +272,7 @@ class TestSupervisedEngine:
         assert supervised.stats == {"hits": 0, "misses": 2, "resumed": 0}
         assert supervised.supervisor_stats == {
             "retries": 0, "timeouts": 0, "pool_breaks": 0,
-            "degraded": False, "bisections": 0, "evicted": 0}
+            "degraded": False}
         assert supervised.quarantined == {}
 
     def test_poisoned_cell_yields_partial_results(self, scale, tmp_path):
@@ -409,3 +416,96 @@ class TestChaosRuns:
         with pytest.raises(SweepAborted):
             run_chaos("kill-storm", scale, jobs=2, epochs=3,
                       degrade=False, work_dir=str(tmp_path / "chaos"))
+
+
+# -- SIGKILL the whole sweep process, resume via --resume-dir ----------------
+
+
+def _sweep_command(out, resume_dir, cache_dir):
+    return [sys.executable, "-m", "repro", "sweep",
+            "--workloads", "art-mcf", "apsi-eon",
+            "--policies", "ICOUNT", "FLUSH",
+            "--scale", "smoke", "--epochs", "6", "--jobs", "2",
+            "--cell-timeout", "120",
+            "--resume-dir", resume_dir, "--cache-dir", cache_dir,
+            "--quiet", "--out", out]
+
+
+def _subprocess_env():
+    src_root = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "src")
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src_root + (os.pathsep + existing
+                                    if existing else "")
+    return env
+
+
+def _running_in_group(pgid):
+    """PIDs of process group ``pgid`` that are still running.  Zombies
+    only wait for a reaper, so they do not count."""
+    running = []
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open("/proc/%s/stat" % name) as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            running.append(int(name))
+    return running
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="process-group liveness is read from /proc")
+class TestKilledSweepResumes:
+    def test_sigkilled_sweep_resumes_to_identical_bytes(self, scale,
+                                                        tmp_path):
+        # A supervised two-job sweep is SIGKILLed, pool workers and all,
+        # as soon as one cell has checkpointed an epoch; the rerun with
+        # the same --resume-dir must match a fault-free serial sweep.
+        resume_dir = str(tmp_path / "resume")
+        out = str(tmp_path / "resumed.json")
+        command = _sweep_command(out, resume_dir, str(tmp_path / "cache"))
+        env = _subprocess_env()
+
+        proc = subprocess.Popen(command, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL, env=env,
+                                start_new_session=True)
+
+        def checkpointed():
+            for _dirpath, _dirnames, filenames in os.walk(resume_dir):
+                if any(name.startswith("ckpt_") for name in filenames):
+                    return True
+            return False
+
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            if proc.poll() is not None or checkpointed():
+                break
+            time.sleep(0.05)
+        assert proc.poll() is None, "sweep finished before the kill"
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while _running_in_group(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _running_in_group(proc.pid) == []
+
+        rerun = subprocess.run(command, env=env, timeout=300,
+                               stdout=subprocess.DEVNULL,
+                               stderr=subprocess.DEVNULL)
+        assert rerun.returncode == 0
+        with open(out) as handle:
+            resumed = handle.read()
+
+        cells = grid_cells(workloads=("art-mcf", "apsi-eon"),
+                           policies=("ICOUNT", "FLUSH"))
+        serial_scale = scale.with_overrides(epochs=6)
+        reference = SweepEngine(serial_scale, jobs=1, use_cache=False)
+        assert resumed == merged_json(cells, reference.run_cells(cells),
+                                      serial_scale)
